@@ -46,6 +46,15 @@ DEPTH_STEPMAX = {Depth.SHALLOW: STEPMAX_SHALLOW, Depth.DEEP: STEPMAX_DEEP}
 
 STATUS_ERROR = "error"
 
+# tasks per worker round trip: about 64 chunks per worker, so pickling and
+# dispatch are amortised over many short runs while small sweeps still
+# spread one run at a time
+CHUNKS_PER_WORKER = 64
+
+
+class HeldOutSetModifiedError(RuntimeError):
+    """The test set changed while a run trained on its training set."""
+
 
 def loss_token(spec: LossSpec) -> str:
     """Short loss name used in ids, CSV files and chart labels."""
@@ -189,7 +198,8 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     Data generation and contamination draw from scenario-scoped streams so
     the loss functions of one scenario see identical datasets; only the
     network initialization is keyed by the full configuration. The test set
-    bypasses contamination entirely, which is asserted via a byte hash.
+    bypasses contamination entirely, which is checked via a byte hash; a run
+    whose test set changed is recorded as an error.
     """
     if rep >= cfg.replications:
         raise ValueError("rep exceeds the configured replication count")
@@ -236,9 +246,9 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
                 preds = predict(outcome.final_net, test_ds.X)
                 test_loss = float(np.mean((preds - y_test) ** 2))
 
-        assert hashlib.sha256(
-            test_ds.X.tobytes() + test_ds.Y.tobytes()).hexdigest() == test_fingerprint, \
-            "test set was modified during the run"
+        if hashlib.sha256(
+                test_ds.X.tobytes() + test_ds.Y.tobytes()).hexdigest() != test_fingerprint:
+            raise HeldOutSetModifiedError("test set was modified during the run")
 
         return RunRecord(
             **_record_base(cfg, rep, init_seed),
@@ -249,7 +259,7 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
             sup_weight_norm=outcome.sup_weight_norm,
             breakdown=outcome.breakdown,
         )
-    except DegenerateStandardizationError as exc:
+    except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return RunRecord(
             **_record_base(cfg, rep, init_seed),
             converged=False,
@@ -291,8 +301,9 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
     if parallelism == 1 or len(tasks) <= 1:
         records = [_run_task(t) for t in tasks]
     else:
+        chunksize = math.ceil(len(tasks) / (parallelism * CHUNKS_PER_WORKER))
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_run_task, tasks))
+            records = list(pool.map(_run_task, tasks, chunksize=chunksize))
     records.sort(key=lambda rec: (rec.config_id, rec.rep))
     return records
 

@@ -80,12 +80,32 @@ class LossSpec:
         return self.kind == LossKind.HUBER and self.huber_delta is None
 
 
+def _median_kth(n: int) -> list[int]:
+    """Partition points for the median of n values: the middle order
+    statistic(s) and the last one, which is NaN if any value is."""
+    m = n // 2
+    return sorted({m, n - 1} if n % 2 else {m - 1, m, n - 1})
+
+
+def _floored_median(a: np.ndarray, kth) -> float:
+    """Median of a 1-D array, floored at HUBER_DELTA_FLOOR, reordering a in
+    place. Equal to np.median: the middle value or (a+b)/2 of the middle
+    pair, NaN if any value is NaN."""
+    a.partition(kth)
+    last = a[-1]
+    if last != last:
+        return float(last)
+    m = a.shape[0] // 2
+    median = a[m] if a.shape[0] % 2 else (a[m - 1] + a[m]) / 2
+    return max(float(median), HUBER_DELTA_FLOOR)
+
+
 def adaptive_huber_delta(residuals) -> float:
     """Median absolute residual, floored so the loss never degenerates to 0."""
     r = np.asarray(residuals, dtype=np.float64)
     if r.size < 1:
         raise ValueError("need at least one residual")
-    return max(float(np.median(np.abs(r))), HUBER_DELTA_FLOOR)
+    return _floored_median(np.abs(r).ravel(), _median_kth(r.size))
 
 
 def _resolve_delta(spec: LossSpec, delta: float | None) -> float:
@@ -96,6 +116,68 @@ def _resolve_delta(spec: LossSpec, delta: float | None) -> float:
     return spec.huber_delta
 
 
+# Elementwise (value, dL/dr) kernels of residual r and the loss's constant
+# c: the Huber threshold delta, the Tukey k, unused otherwise.
+
+def _squared(r, c):
+    return r * r
+
+
+def _squared_grad(r, c):
+    return 2.0 * r
+
+
+def _huber(r, d):
+    a = np.abs(r)
+    return np.where(a <= d, 0.5 * r * r, d * a - 0.5 * d * d)
+
+
+def _huber_grad(r, d):
+    # r inside [-delta, delta], delta * sign(r) outside: exactly a clip
+    return np.clip(r, -d, d)
+
+
+def _tukey(r, k):
+    u = 1.0 - (r / k) ** 2
+    return np.where(np.abs(r) <= k, 1.0 - u * u * u, 1.0)
+
+
+def _tukey_grad(r, k):
+    u = 1.0 - (r / k) ** 2
+    return np.where(np.abs(r) <= k, (6.0 * r / (k * k)) * u * u, 0.0)
+
+
+_KERNELS = {
+    LossKind.SQUARED: (_squared, _squared_grad),
+    LossKind.TRIMMED_SQUARED: (_squared, _squared_grad),
+    LossKind.HUBER: (_huber, _huber_grad),
+    LossKind.TUKEY: (_tukey, _tukey_grad),
+}
+
+
+def _kernels(spec: LossSpec):
+    try:
+        return _KERNELS[spec.kind]
+    except KeyError:
+        raise ValueError(f"unknown loss kind {spec.kind!r}") from None
+
+
+def _constant(spec: LossSpec, delta: float | None):
+    if spec.kind == LossKind.HUBER:
+        return _resolve_delta(spec, delta)
+    return spec.tukey_k
+
+
+def _apply(kernel, spec: LossSpec, r, delta):
+    r = np.asarray(r, dtype=np.float64)
+    c = _constant(spec, delta)
+    if spec.kind == LossKind.TUKEY:
+        # (r/k)^2 overflows to inf for huge r, which lands in the flat branch
+        with np.errstate(over="ignore"):
+            return kernel(r, c)
+    return kernel(r, c)
+
+
 def loss_value(spec: LossSpec, r, delta: float | None = None):
     """Elementwise loss of residual r.
 
@@ -103,19 +185,7 @@ def loss_value(spec: LossSpec, r, delta: float | None = None):
     Tukey: 1 - (1 - (r/k)^2)^3 below k, constant 1 above. The trimmed squared
     loss is r^2 per instance; the trimming lives in the aggregation step.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if spec.kind in (LossKind.SQUARED, LossKind.TRIMMED_SQUARED):
-        return r * r
-    if spec.kind == LossKind.HUBER:
-        d = _resolve_delta(spec, delta)
-        a = np.abs(r)
-        return np.where(a <= d, 0.5 * r * r, d * a - 0.5 * d * d)
-    if spec.kind == LossKind.TUKEY:
-        k = spec.tukey_k
-        with np.errstate(over="ignore"):
-            u = 1.0 - (r / k) ** 2
-            return np.where(np.abs(r) <= k, 1.0 - u * u * u, 1.0)
-    raise ValueError(f"unknown loss kind {spec.kind!r}")
+    return _apply(_kernels(spec)[0], spec, r, delta)
 
 
 def loss_gradient(spec: LossSpec, r, delta: float | None = None):
@@ -124,19 +194,7 @@ def loss_gradient(spec: LossSpec, r, delta: float | None = None):
     The Huber gradient is clipped at +-delta; the Tukey gradient redescends
     to exactly 0 for |r| >= k.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if spec.kind in (LossKind.SQUARED, LossKind.TRIMMED_SQUARED):
-        return 2.0 * r
-    if spec.kind == LossKind.HUBER:
-        # r inside [-delta, delta], delta * sign(r) outside: exactly a clip
-        d = _resolve_delta(spec, delta)
-        return np.clip(r, -d, d)
-    if spec.kind == LossKind.TUKEY:
-        k = spec.tukey_k
-        with np.errstate(over="ignore"):
-            u = 1.0 - (r / k) ** 2
-            return np.where(np.abs(r) <= k, (6.0 * r / (k * k)) * u * u, 0.0)
-    raise ValueError(f"unknown loss kind {spec.kind!r}")
+    return _apply(_kernels(spec)[1], spec, r, delta)
 
 
 def dloss_dprediction(spec: LossSpec, r, delta: float | None = None):
@@ -168,6 +226,31 @@ class TrimResult:
     aggregate: float
 
 
+def _trim(keys: np.ndarray, h: int) -> tuple[np.ndarray, float]:
+    """Indices of the h smallest keys in increasing order, and their mean.
+
+    A partition finds the h-th smallest key; every key up to it is kept and,
+    where ties at it exceed h, those with the largest indices are dropped.
+    NaN ranks above +inf. This is exactly the set that
+    np.sort(np.argsort(keys, kind="stable")[:h]) gives.
+    """
+    part = keys.copy()
+    part.partition(h - 1)
+    threshold = part[h - 1]
+    if threshold == threshold:
+        keep = keys <= threshold
+        surplus = np.count_nonzero(keep) - h
+        if surplus:
+            keep[np.flatnonzero(keys == threshold)[-surplus:]] = False
+    else:
+        # NaN threshold: every number is kept, then the first NaNs
+        nan = np.isnan(keys)
+        keep = ~nan
+        keep[np.flatnonzero(nan)[: h - np.count_nonzero(keep)]] = True
+    kept = keep.nonzero()[0]
+    return kept, float(np.add.reduce(keys[kept]) / h)
+
+
 def trimmed_select(keys, alpha: float) -> TrimResult:
     """Keep the h = ceil((1-alpha)n) instances with the smallest keys.
 
@@ -175,11 +258,9 @@ def trimmed_select(keys, alpha: float) -> TrimResult:
     and repeated runs are identical.
     """
     keys = np.asarray(keys, dtype=np.float64)
-    n = keys.shape[0]
-    h = trim_count(n, alpha)
-    order = np.argsort(keys, kind="stable")
-    kept = np.sort(order[:h])
-    return TrimResult(kept_indices=kept, h=h, aggregate=float(keys[kept].mean()))
+    h = trim_count(keys.shape[0], alpha)
+    kept, aggregate = _trim(keys, h)
+    return TrimResult(kept_indices=kept, h=h, aggregate=aggregate)
 
 
 def aggregate_gradients(per_instance: list[GradientSet],

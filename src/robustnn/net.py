@@ -20,6 +20,64 @@ class Activation(str, Enum):
     IDENTITY = "identity"
 
 
+# Elementwise kernels writing into a caller-owned array `out` of a's shape.
+# The logistic lets exp(-a) overflow to inf, which gives the exact limit 0;
+# callers that care about the overflow warning suppress it around the call.
+
+def _logistic(a, out):
+    np.negative(a, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _softplus(a, out):
+    return np.logaddexp(0.0, a, out=out)
+
+
+def _identity(a, out):
+    return a
+
+
+_ACTIVATE = {
+    Activation.LOGISTIC: _logistic,
+    Activation.SOFTPLUS: _softplus,
+    Activation.IDENTITY: _identity,
+}
+
+
+# g *= sigma'(a) in place, given the pre-activation a and the activation
+# z = sigma(a); tmp is scratch of g's shape.
+
+def _scale_logistic(g, a, z, tmp):
+    # logistic'(a) = z(1-z)
+    np.subtract(1.0, z, out=tmp)
+    np.multiply(z, tmp, out=tmp)
+    np.multiply(g, tmp, out=g)
+
+
+def _scale_softplus(g, a, z, tmp):
+    # softplus'(a) = logistic(a)
+    np.multiply(g, _logistic(a, tmp), out=g)
+
+
+def _scale_identity(g, a, z, tmp):
+    pass
+
+
+_SCALE_BY_DERIV = {
+    Activation.LOGISTIC: _scale_logistic,
+    Activation.SOFTPLUS: _scale_softplus,
+    Activation.IDENTITY: _scale_identity,
+}
+
+
+def _kind(kind) -> Activation:
+    if kind not in _ACTIVATE:
+        raise ValueError(f"unknown activation {kind!r}")
+    return kind
+
+
 def activate(kind: Activation, z):
     """Apply an activation function elementwise.
 
@@ -29,36 +87,18 @@ def activate(kind: Activation, z):
     exact limit 0) with the warning suppressed.
     """
     z = np.asarray(z, dtype=np.float64)
-    if kind == Activation.LOGISTIC:
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
-    if kind == Activation.SOFTPLUS:
-        return np.logaddexp(0.0, z)
-    if kind == Activation.IDENTITY:
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
+    with np.errstate(over="ignore"):
+        return _ACTIVATE[_kind(kind)](z, np.empty_like(z))
 
 
 def activate_deriv(kind: Activation, z):
     """Derivative of the activation as a function of the pre-activation z."""
     z = np.asarray(z, dtype=np.float64)
-    if kind in (Activation.LOGISTIC, Activation.SOFTPLUS):
-        # logistic'(z) = s(1-s), softplus'(z) = s, with s = logistic(z)
-        s = activate(Activation.LOGISTIC, z)
-        if kind == Activation.SOFTPLUS:
-            return s
-        return s * (1.0 - s)
-    if kind == Activation.IDENTITY:
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _deriv_from_activation(kind: Activation, z_act):
-    # cheaper than recomputing from the pre-activation when z_act = act(a)
-    # is already available; only valid for the kinds handled here.
-    if kind == Activation.LOGISTIC:
-        return z_act * (1.0 - z_act)
-    raise ValueError(kind)
+    # 1 * sigma'(z), through the scaling backpropagation uses
+    d = np.ones_like(z)
+    with np.errstate(over="ignore"):
+        _SCALE_BY_DERIV[_kind(kind)](d, z, activate(kind, z), np.empty_like(z))
+    return d
 
 
 @dataclass(frozen=True)
@@ -158,25 +198,35 @@ def param_vector(net: Network) -> np.ndarray:
     )
 
 
+def _split(vec: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, intercepts) views of a flat vector laid out as
+    param_vector lays it out, for the given layer sizes (input first)."""
+    intercepts = []
+    weights = []
+    off = 0
+    for size in sizes[1:]:
+        intercepts.append(vec[off : off + size])
+        off += size
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        k = fan_in * fan_out
+        weights.append(vec[off : off + k].reshape(fan_out, fan_in))
+        off += k
+    return weights, intercepts
+
+
 def network_from_vector(arch: Architecture, vec: np.ndarray, copy: bool = True) -> Network:
-    """Rebuild a Network from a flat parameter vector (inverse of param_vector)."""
-    sizes = arch.layer_sizes
-    n_b, n_w, total = count_parameters(arch)
+    """Rebuild a Network from a flat parameter vector (inverse of param_vector).
+
+    With copy=False the returned weights and intercepts are views of vec, so
+    writing into vec updates the network.
+    """
+    _, _, total = count_parameters(arch)
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (total,):
         raise ValueError(f"expected parameter vector of length {total}, got {vec.shape}")
     if copy:
         vec = vec.copy()
-    intercepts = []
-    weights = []
-    off = 0
-    for h in range(1, len(sizes)):
-        intercepts.append(vec[off : off + sizes[h]])
-        off += sizes[h]
-    for h in range(1, len(sizes)):
-        k = sizes[h] * sizes[h - 1]
-        weights.append(vec[off : off + k].reshape(sizes[h], sizes[h - 1]))
-        off += k
+    weights, intercepts = _split(vec, arch.layer_sizes)
     return Network(weights=weights, intercepts=intercepts, architecture=arch)
 
 
@@ -186,21 +236,116 @@ def init_weights(arch: Architecture, rng: np.random.Generator) -> Network:
     return network_from_vector(arch, rng.standard_normal(total), copy=False)
 
 
+def _forward_arrays(arch: Architecture, X: np.ndarray) -> tuple[list, list]:
+    """Pre-activation arrays per weighted layer and activation arrays with
+    the input first; an identity layer's activation is its pre-activation."""
+    pre = [np.empty((X.shape[0], size)) for size in arch.layer_sizes[1:]]
+    acts = [X] + [a if arch.activation_of(h) == Activation.IDENTITY else np.empty_like(a)
+                  for h, a in enumerate(pre, start=1)]
+    return pre, acts
+
+
+def _forward_steps(net: Network, pre, acts) -> list[tuple]:
+    """Per weighted layer: (input, W^T, b, pre-activation, activation
+    kernel, activation), the arrays the forward pass reads and writes."""
+    arch = net.architecture
+    kernels = [_ACTIVATE[_kind(arch.activation_of(h))] for h in range(1, arch.n_layers + 1)]
+    return list(zip(acts, [w.T for w in net.weights], net.intercepts, pre, kernels, acts[1:]))
+
+
+def _run_forward(steps) -> None:
+    """a_h = z_{h-1} W_h^T + b_h and z_h = sigma_h(a_h), layer by layer."""
+    for z, wt, b, a, act, out in steps:
+        np.matmul(z, wt, out=a)
+        np.add(a, b, out=a)
+        act(a, out)
+
+
+def _backward_steps(net: Network, pre, acts, deltas) -> list[tuple]:
+    """Per weighted layer from the output back: (delta and W of the layer
+    above, or None for the output layer, this layer's delta, derivative
+    scaling, pre-activation, activation, scratch)."""
+    arch = net.architecture
+    steps = []
+    for h in range(arch.n_layers - 1, -1, -1):
+        above = (deltas[h + 1], net.weights[h + 1]) if h + 1 < arch.n_layers else (None, None)
+        scale = _SCALE_BY_DERIV[_kind(arch.activation_of(h + 1))]
+        steps.append((*above, deltas[h], scale, pre[h], acts[h + 1], np.empty_like(pre[h])))
+    return steps
+
+
+def _run_backward(steps) -> None:
+    """The output delta, which holds dL/dyhat on entry, becomes
+    dL/dyhat * sigma'(a_out); earlier layers follow the chain-rule recursion
+    delta_h = (delta_{h+1} W_{h+1}) * sigma'(a_h)."""
+    for d_above, w, d, scale, a, z, tmp in steps:
+        if d_above is not None:
+            np.matmul(d_above, w, out=d)
+        scale(d, a, z, tmp)
+
+
+def _gradient_sum(deltas, inputs, kept, d_weights, d_intercepts) -> int:
+    """Sum over rows, or over the kept rows, of the per-instance gradients
+    into the given per-layer arrays; returns the number of rows summed."""
+    if kept is not None:
+        deltas = [d[kept] for d in deltas]
+        inputs = [z[kept] for z in inputs]
+    for d, z, gw, gb in zip(deltas, inputs, d_weights, d_intercepts):
+        np.add.reduce(d, axis=0, out=gb)
+        np.matmul(d.T, z, out=gw)
+    return deltas[0].shape[0]
+
+
+class BatchKernel:
+    """Forward pass, error terms and gradient sums of one network over a
+    fixed input matrix, computed into arrays allocated once.
+
+    The kernel keeps references to the network's weight and intercept
+    arrays, so a network whose arrays are views of a flat parameter buffer
+    can be moved in place between passes. train runs every epoch through one
+    kernel; forward_batch, batch_deltas and mean_gradient_vector run the same
+    passes once on arrays of their own.
+
+    output_error is a view of the output layer's delta: write dL/dyhat into
+    it before backward().
+    """
+
+    def __init__(self, net: Network, X: np.ndarray):
+        self.pre, self.acts = _forward_arrays(net.architecture, X)
+        self.deltas = [np.empty_like(a) for a in self.pre]
+        self.predictions = self.acts[-1][:, 0]
+        self.output_error = self.deltas[-1][:, 0]
+        self._forward = _forward_steps(net, self.pre, self.acts)
+        self._backward = _backward_steps(net, self.pre, self.acts, self.deltas)
+        self._inputs = self.acts[:-1]
+
+    def forward(self) -> np.ndarray:
+        """Run the forward pass; returns the predictions, a view of the
+        output activations."""
+        _run_forward(self._forward)
+        return self.predictions
+
+    def backward(self) -> list[np.ndarray]:
+        """Turn dL/dyhat in output_error into the error terms of every layer."""
+        _run_backward(self._backward)
+        return self.deltas
+
+    def gradient_sum(self, d_weights, d_intercepts, kept=None) -> int:
+        """Sum of per-instance gradients over all rows, or the kept ones,
+        into the given per-layer arrays; returns the row count."""
+        return _gradient_sum(self.deltas, self._inputs, kept, d_weights, d_intercepts)
+
+
 def forward_batch(net: Network, X) -> BatchTrace:
     """Forward pass for a whole (n, p) input matrix."""
     arch = net.architecture
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != arch.input_dim:
         raise ValueError(f"expected {arch.input_dim} input columns, got {X.shape[1]}")
-    pre = []
-    acts = [X]
-    z = X
-    for h in range(arch.n_layers):
-        a = z @ net.weights[h].T + net.intercepts[h]
-        z = activate(arch.activation_of(h + 1), a)
-        pre.append(a)
-        acts.append(z)
-    return BatchTrace(pre_activations=pre, activations=acts, predictions=z[:, 0])
+    pre, acts = _forward_arrays(arch, X)
+    with np.errstate(over="ignore"):
+        _run_forward(_forward_steps(net, pre, acts))
+    return BatchTrace(pre_activations=pre, activations=acts, predictions=acts[-1][:, 0])
 
 
 def forward(net: Network, x) -> ForwardTrace:
@@ -225,22 +370,11 @@ def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarra
     dL/dyhat * sigma'(a_out); earlier layers follow the chain-rule recursion
     delta_h = (W_{h+1}^T delta_{h+1}) * sigma'(a_h).
     """
-    arch = net.architecture
-    dl = np.asarray(dloss_dpred, dtype=np.float64).reshape(-1, 1)
-    out_kind = arch.activation_of(arch.n_layers)
-    if out_kind == Activation.IDENTITY:
-        d = dl.copy()
-    else:
-        d = dl * activate_deriv(out_kind, trace.pre_activations[-1])
-    deltas = [d]
-    hid = arch.hidden_activation
-    for h in range(arch.n_layers - 2, -1, -1):
-        g = deltas[0] @ net.weights[h + 1]
-        if hid == Activation.LOGISTIC:
-            deriv = _deriv_from_activation(hid, trace.activations[h + 1])
-        else:
-            deriv = activate_deriv(hid, trace.pre_activations[h])
-        deltas.insert(0, g * deriv)
+    pre, acts = trace.pre_activations, trace.activations
+    deltas = [np.empty_like(a) for a in pre]
+    np.copyto(deltas[-1], np.asarray(dloss_dpred, dtype=np.float64).reshape(-1, 1))
+    with np.errstate(over="ignore"):
+        _run_backward(_backward_steps(net, pre, acts, deltas))
     return deltas
 
 
@@ -269,15 +403,11 @@ def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None)
 
     kept selects a row subset (trimmed aggregation); None averages all rows.
     """
-    if kept is not None:
-        deltas = [d[kept] for d in deltas]
-        acts = [z[kept] for z in trace.activations[:-1]]
-    else:
-        acts = trace.activations[:-1]
-    n = deltas[0].shape[0]
-    parts = [d.mean(axis=0) for d in deltas]
-    parts += [(d.T @ z).ravel() / n for d, z in zip(deltas, acts)]
-    return np.concatenate(parts)
+    sizes = (trace.activations[0].shape[1], *(d.shape[1] for d in deltas))
+    flat = np.empty(sum(sizes[1:]) + sum(a * b for a, b in zip(sizes, sizes[1:])))
+    weights, intercepts = _split(flat, sizes)
+    n = _gradient_sum(deltas, trace.activations[:-1], kept, weights, intercepts)
+    return np.divide(flat, n, out=flat)
 
 
 def gradient_set_to_vector(g: GradientSet) -> np.ndarray:

@@ -8,6 +8,7 @@ gradients by a positive constant leaves the parameter trajectory untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,12 +16,10 @@ import numpy as np
 
 from . import losses as L
 from .net import (
+    BatchKernel,
     GradientSet,
     Network,
-    batch_deltas,
-    forward_batch,
     gradient_set_to_vector,
-    mean_gradient_vector,
     network_from_vector,
     param_vector,
 )
@@ -98,47 +97,71 @@ def check_convergence(agg: GradientSet, threshold: float) -> bool:
     return bool(np.abs(g).max() < threshold)
 
 
-def _step_vec(spec: OptimizerSpec, steps, prev_signs, params, g):
-    """One update on flat parameter/gradient vectors.
-
-    Returns (new_params, new_steps, new_signs). For sign-gd the state arrays
-    pass through unchanged.
-    """
+def _in_place_update(spec: OptimizerSpec, n_params: int, state: RpropState | None):
+    """The update rule as a function (params, g) that moves params in place,
+    and for Rprop+ also the step sizes and signs of state, with scratch
+    arrays allocated once."""
+    s = np.empty(n_params)
     if spec.rule == Rule.SIGN_GD:
-        return params - spec.eta * np.sign(g), steps, prev_signs
+        eta = spec.eta
+
+        def sign_gd(params, g):
+            np.sign(g, out=s)
+            np.multiply(eta, s, out=s)
+            np.subtract(params, s, out=params)
+
+        return sign_gd
 
     # Rprop+ with weight backtracking. Parameters whose gradient kept its
     # sign take a grown step; a sign flip shrinks the step, reverts the
     # previous update for that parameter and skips this epoch's update (the
     # stored sign becomes 0 so the next epoch falls into the neutral case).
-    s = np.sign(g)
-    prod = s * prev_signs
-    flipped = prod < 0.0
-    grew = prod > 0.0
-    factor = np.where(grew, spec.eta_plus, np.where(flipped, spec.eta_minus, 1.0))
-    new_steps = np.clip(steps * factor, spec.delta_min, spec.delta_max)
-    # the previous applied update was -prev_sign * steps (pre-shrink values)
-    revert = np.where(flipped, prev_signs * steps, 0.0)
-    move = np.where(flipped, 0.0, -s * new_steps)
-    new_params = params + move + revert
-    new_signs = np.where(flipped, 0.0, s)
-    return new_params, new_steps, new_signs
+    steps, signs = state.step_sizes, state.prev_grad_signs
+    eta_plus, eta_minus = spec.eta_plus, spec.eta_minus
+    delta_min, delta_max = spec.delta_min, spec.delta_max
+    prod, factor, revert, move = (np.empty(n_params) for _ in range(4))
+    flipped, grew, unflipped = (np.empty(n_params, dtype=bool) for _ in range(3))
+
+    def rprop_plus(params, g):
+        np.sign(g, out=s)
+        np.multiply(s, signs, out=prod)
+        np.less(prod, 0.0, out=flipped)
+        np.greater(prod, 0.0, out=grew)
+        np.logical_not(flipped, out=unflipped)
+        # the previous applied update was -prev_sign * steps (pre-shrink values)
+        np.multiply(signs, steps, out=revert)
+        np.copyto(revert, 0.0, where=unflipped)
+        factor.fill(1.0)
+        np.copyto(factor, eta_minus, where=flipped)
+        np.copyto(factor, eta_plus, where=grew)
+        np.multiply(steps, factor, out=steps)
+        # clip to [delta_min, delta_max]
+        np.maximum(steps, delta_min, out=steps)
+        np.minimum(steps, delta_max, out=steps)
+        np.negative(s, out=move)
+        np.multiply(move, steps, out=move)
+        np.copyto(move, 0.0, where=flipped)
+        np.add(params, move, out=params)
+        np.add(params, revert, out=params)
+        np.copyto(s, 0.0, where=flipped)
+        np.copyto(signs, s)
+
+    return rprop_plus
 
 
 def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
          agg: GradientSet) -> tuple[Network, RpropState | None]:
-    """Apply one optimizer update to a network given an aggregated gradient."""
+    """Apply one optimizer update to a network given an aggregated gradient.
+
+    Neither the network nor the state passed in is modified."""
     params = param_vector(net)
-    g = gradient_set_to_vector(agg)
-    if spec.rule == Rule.RPROP_PLUS and state is None:
-        state = RpropState.initial(params.shape[0], spec)
-    steps = state.step_sizes if state is not None else None
-    signs = state.prev_grad_signs if state is not None else None
-    new_params, new_steps, new_signs = _step_vec(spec, steps, signs, params, g)
-    new_state = state
     if spec.rule == Rule.RPROP_PLUS:
-        new_state = RpropState(step_sizes=new_steps, prev_grad_signs=new_signs)
-    return network_from_vector(net.architecture, new_params), new_state
+        if state is None:
+            state = RpropState.initial(params.shape[0], spec)
+        state = RpropState(step_sizes=state.step_sizes.copy(),
+                           prev_grad_signs=state.prev_grad_signs.copy())
+    _in_place_update(spec, params.shape[0], state)(params, gradient_set_to_vector(agg))
+    return network_from_vector(net.architecture, params, copy=False), state
 
 
 def _as_xy(data):
@@ -166,7 +189,14 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     replacement before the convergence check and the update. epoch_end_hook
     is called as hook(epoch, predictions, per_instance_losses, y) after each
     completed epoch and may return a replacement response vector for the
-    next epoch (used by the adaptive attacker).
+    next epoch (used by the adaptive attacker). The arrays passed to either
+    callback are the trainer's own buffers and are overwritten by the next
+    epoch; a callback that keeps one must copy it.
+
+    The parameters live in one flat buffer, a copy of net's, which the
+    update moves in place; net itself is never modified. Every per-run
+    choice (activations, loss, trimming, update rule) is resolved before the
+    first epoch, so an epoch is only the arithmetic.
     """
     arch = net.architecture
     X, Y = _as_xy(data)
@@ -174,7 +204,8 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     Y = np.array(Y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != arch.input_dim or Y.shape != (X.shape[0],):
         raise ValueError("data shapes do not match the network architecture")
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("training data must be non-empty")
 
     params = param_vector(net)
@@ -185,64 +216,77 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     sup_norm = norm0
     norms = [norm0] if record_norms else None
 
-    steps = np.full(n_total, spec.delta0, dtype=np.float64)
-    signs = np.zeros(n_total, dtype=np.float64)
+    kernel = BatchKernel(network_from_vector(arch, params, copy=False), X)
+    grad = np.empty(n_total)
+    grad_net = network_from_vector(arch, grad, copy=False)
+    d_weights, d_intercepts = grad_net.weights, grad_net.intercepts
+    update = _in_place_update(
+        spec, n_total,
+        RpropState.initial(n_total, spec) if spec.rule == Rule.RPROP_PLUS else None)
+
+    value, gradient = L._kernels(loss_spec)
+    adaptive = loss_spec.adaptive_huber
+    constant = None if adaptive else L._constant(loss_spec, None)
+    h = L.trim_count(n, loss_spec.trim_alpha) if loss_spec.is_trimmed else None
+    median_kth = L._median_kth(n)
+    r = np.empty(n)
+    abs_r = np.empty(n)
+    abs_g = np.empty(n_total)
+    output_error = kernel.output_error
+    threshold = spec.grad_threshold
 
     status = TrainStatus.STEP_LIMIT
     epochs = 0
-    fixed_delta = loss_spec.huber_delta
-    threshold = spec.grad_threshold
-
     # divergence shows up as inf/nan and is detected and reported below;
     # numpy's overflow warnings would only add noise to legitimate sweeps
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, spec.stepmax + 1):
             epochs = epoch
-            live = network_from_vector(arch, params, copy=False)
-            trace = forward_batch(live, X)
-            r = Y - trace.predictions
+            predictions = kernel.forward()
+            np.subtract(Y, predictions, out=r)
 
-            delta = None
-            if loss_spec.kind == L.LossKind.HUBER:
-                delta = (fixed_delta if fixed_delta is not None
-                         else L.adaptive_huber_delta(r))
-
-            per_loss = L.loss_value(loss_spec, r, delta)
-            if loss_spec.is_trimmed:
-                sel = L.trimmed_select(per_loss, loss_spec.trim_alpha)
-                kept = sel.kept_indices
-                objective = sel.aggregate
-            else:
+            if adaptive:
+                np.abs(r, out=abs_r)
+                constant = L._floored_median(abs_r, median_kth)
+            per_loss = value(r, constant)
+            if h is None:
                 kept = None
-                objective = float(per_loss.mean())
-            if not np.isfinite(objective):
+                # the mean is finite exactly when the sum is
+                objective = np.add.reduce(per_loss)
+            else:
+                kept, objective = L._trim(per_loss, h)
+            if not math.isfinite(objective):
                 status = TrainStatus.DIVERGED
                 break
 
-            dl = -L.loss_gradient(loss_spec, r, delta)
-            deltas = batch_deltas(live, trace, dl)
-            g = mean_gradient_vector(trace, deltas, kept)
+            np.negative(gradient(r, constant), out=output_error)
+            kernel.backward()
+            rows = kernel.gradient_sum(d_weights, d_intercepts, kept)
+            g = np.divide(grad, rows, out=grad)
             if grad_transform is not None:
                 g = grad_transform(g)
-            if not np.isfinite(g).all():
+            # the largest |g| is non-finite exactly when some entry is
+            g_max = np.abs(g, out=abs_g).max()
+            if not math.isfinite(g_max):
                 status = TrainStatus.DIVERGED
                 break
-            if np.abs(g).max() < threshold:
+            if g_max < threshold:
                 status = TrainStatus.CONVERGED
                 break
 
-            params, steps, signs = _step_vec(spec, steps, signs, params, g)
-            norm = float(np.linalg.norm(params))
+            update(params, g)
+            # as np.linalg.norm computes it
+            norm = math.sqrt(params.dot(params))
             if record_norms:
                 norms.append(norm)
             if norm > sup_norm:
                 sup_norm = norm
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 status = TrainStatus.DIVERGED
                 break
 
             if epoch_end_hook is not None:
-                new_y = epoch_end_hook(epoch, trace.predictions, per_loss, Y)
+                new_y = epoch_end_hook(epoch, predictions, per_loss, Y)
                 if new_y is not None:
                     Y = np.asarray(new_y, dtype=np.float64)
 

@@ -198,6 +198,10 @@ def test_c05_robust_losses_beat_squared_under_y_contamination():
             med_sq = _median_finite_loss(records, "squared")
             med_hu = _median_finite_loss(records, "huber")
             med_t5 = _median_finite_loss(records, "trim50")
+            # an all-inf comparison would pass vacuously (inf <= inf)
+            for name, med in (("squared", med_sq), ("huber", med_hu), ("trim50", med_t5)):
+                assert math.isfinite(med), \
+                    f"base_seed {base_seed}: no converged {name} run with a finite test loss"
             ok = med_hu <= med_sq and med_t5 <= med_sq
             print(f"  base_seed {base_seed}: squared={med_sq:.4g} "
                   f"huber={med_hu:.4g} trim50={med_t5:.4g} -> "

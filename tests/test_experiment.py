@@ -110,6 +110,18 @@ class TestRunSingle:
         with pytest.raises(ValueError):
             E.run_single(small_config(replications=1), 1)
 
+    def test_modified_test_set_is_recorded_as_error(self, monkeypatch):
+        # the check is an explicit raise, so it also holds under python -O
+        def tampering_predict(net, X):
+            X[0, 0] += 1.0
+            return np.zeros(X.shape[0])
+
+        monkeypatch.setattr(E, "predict", tampering_predict)
+        rec = E.run_single(small_config(stepmax=100_000), 0)
+        assert rec.status == E.STATUS_ERROR
+        assert not rec.converged and rec.test_loss is None
+        assert rec.error == "test set was modified during the run"
+
     def test_y_iterative_runs_through(self):
         cfg = small_config(kind=ContaminationKind.Y_ITERATIVE, r=0.5,
                            mu_out=1.0, stepmax=50)

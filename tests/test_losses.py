@@ -131,7 +131,7 @@ class TestAdaptiveHuberDelta:
             r = rng.standard_normal(2 * int(rng.integers(1, 30)))
             s = np.sort(np.abs(r))
             oracle = 0.5 * (s[s.size // 2 - 1] + s[s.size // 2])
-            assert L.adaptive_huber_delta(r) == pytest.approx(max(oracle, 1e-8), rel=1e-15)
+            assert L.adaptive_huber_delta(r) == max(oracle, 1e-8)
 
 
 class TestTrimCount:

@@ -1,0 +1,70 @@
+"""Property tests of the two order-statistic selectors the trainer runs every
+epoch, against the numpy routines they replace: the stable-argsort trim
+selection and np.median for the adaptive Huber threshold."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from robustnn import losses as L
+
+# few distinct values, so ties are the rule rather than the exception
+TIE_POOL = [0.0, -0.0, 1.0, 2.5, -3.0, 1e300, -1.7e308, np.inf, -np.inf, np.nan]
+
+
+def float_arrays(max_size):
+    sizes = st.integers(1, max_size)
+    return st.one_of(
+        hnp.arrays(np.float64, sizes, elements=st.floats(allow_nan=True, allow_infinity=True)),
+        hnp.arrays(np.float64, sizes, elements=st.sampled_from(TIE_POOL)),
+        hnp.arrays(np.float64, sizes, elements=st.integers(-3, 3).map(float)),
+    )
+
+
+alphas = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(keys=float_arrays(80), alpha=alphas)
+@example(keys=np.full(8, 7.0), alpha=0.5)
+@example(keys=np.array([np.nan, 1.0, np.nan, -np.inf, np.inf]), alpha=0.25)
+@example(keys=np.array([np.nan, np.nan, np.nan, 2.0]), alpha=0.25)
+@example(keys=np.array([-0.0, 0.0, -0.0, 0.0]), alpha=0.5)
+def test_trimmed_select_equals_stable_argsort_oracle(keys, alpha):
+    h = L.trim_count(keys.size, alpha)
+    kept = np.sort(np.argsort(keys, kind="stable")[:h])
+    with np.errstate(all="ignore"):
+        aggregate = float(keys[kept].mean())
+        res = L.trimmed_select(keys, alpha)
+    assert res.h == h
+    assert res.kept_indices.dtype.kind == "i"
+    np.testing.assert_array_equal(res.kept_indices, kept)
+    assert same_bits(res.aggregate, aggregate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=float_arrays(81))
+@example(r=np.zeros(4))
+@example(r=np.zeros(5))
+@example(r=np.array([1.0, -1.0, 1.0, -1.0]))
+@example(r=np.array([np.nan, 1.0]))
+@example(r=np.array([3.0, np.nan, -2.0]))
+@example(r=np.array([np.inf, -np.inf, 1.0, 2.0]))
+@example(r=np.array([5e-324, -5e-324]))
+@example(r=np.array([1.7e308, -1.7e308]))
+def test_adaptive_huber_delta_equals_floored_np_median(r):
+    with np.errstate(all="ignore"):
+        expected = max(float(np.median(np.abs(r))), L.HUBER_DELTA_FLOOR)
+        got = L.adaptive_huber_delta(r)
+    assert same_bits(got, expected) or (math.isnan(got) and math.isnan(expected))
+
