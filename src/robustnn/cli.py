@@ -19,14 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .barchart import BarEntry, render_bar_chart
-from .contamination import ContaminationKind, ContaminationSpec, apply_contamination
-from .datagen import (
-    DataGenSpec,
-    Structure,
-    dataset_to_csv,
-    fit_standardizer,
-    generate_dataset,
-)
+from .contamination import ContaminationKind, ContaminationSpec
+from .datagen import DataGenSpec, Structure, dataset_to_csv, generate_dataset
 from . import experiment as exp
 from .experiment import (
     LOSS_LABELS,
@@ -39,8 +33,8 @@ from .experiment import (
     summarize,
 )
 from .losses import LossSpec
-from .net import Activation, init_weights, weight_vec_norm
-from .optimizer import OptimizerSpec, Rule, train
+from .net import Activation, weight_vec_norm
+from .optimizer import OptimizerSpec, Rule
 
 SEED_ENV_VAR = "ROBUSTNN_SEED"
 
@@ -97,6 +91,9 @@ def _check_keys(doc: dict, allowed: set, prefix: str = "") -> None:
 def _num(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    # json reads the tokens NaN and Infinity as floats
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -104,6 +101,16 @@ def _int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
     return value
+
+
+def _build(make, prefix: str, **kwargs):
+    """make(**kwargs), a spec whose own checks do the range validation.
+    Their ValueError messages start with the field name, so prefixing the
+    config section names the offending key."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def parse_loss(token: str) -> LossSpec:
@@ -121,9 +128,7 @@ def parse_loss(token: str) -> LossSpec:
             pct = int(t[4:])
         except ValueError:
             raise ConfigError(f"unknown loss '{token}' in 'losses'") from None
-        if not 0 < pct < 100:
-            raise ConfigError(f"trimming rate out of range in 'losses': '{token}'")
-        return LossSpec.trimmed(pct / 100.0)
+        return _build(LossSpec.trimmed, f"'losses' entry '{token}': ", alpha=pct / 100.0)
     raise ConfigError(f"unknown loss '{token}' in 'losses'")
 
 
@@ -144,10 +149,7 @@ def _parse_data(doc) -> DataGenSpec:
     n_test = _int(_require(doc, "n_test"), "data.n_test")
     snr = _num(doc.get("snr", 2.0), "data.snr")
     mu = _num(doc.get("mu", 0.0), "data.mu")
-    try:
-        return DataGenSpec(p=p, n_train=n_train, n_test=n_test, snr=snr, mu=mu)
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'data': {exc}") from None
+    return _build(DataGenSpec, "data.", p=p, n_train=n_train, n_test=n_test, snr=snr, mu=mu)
 
 
 def _parse_optimizer(doc: dict, depth_stepmax: int) -> OptimizerSpec:
@@ -161,10 +163,7 @@ def _parse_optimizer(doc: dict, depth_stepmax: int) -> OptimizerSpec:
             kwargs[key] = _num(doc[key], f"optimizer.{key}")
     kwargs["stepmax"] = (_int(doc["stepmax"], "optimizer.stepmax")
                          if "stepmax" in doc else depth_stepmax)
-    try:
-        return OptimizerSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'optimizer': {exc}") from None
+    return _build(OptimizerSpec, "optimizer.", **kwargs)
 
 
 def expand_config(doc: dict) -> list[ExperimentConfig]:
@@ -186,13 +185,8 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
     kinds = [_parse_enum(k, ContaminationKind, "contamination.kind")
              for k in _as_list(_require(cont, "kind"))]
     radii = [_num(v, "contamination.r") for v in _as_list(cont.get("r", 0.0))]
-    for v in radii:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"'contamination.r' must lie in [0, 1], got {v}")
     mus = [_num(v, "contamination.mu_out") for v in _as_list(cont.get("mu_out", 10.0))]
     out_sd = _num(cont.get("out_sd", 1.0), "contamination.out_sd")
-    if out_sd <= 0:
-        raise ConfigError(f"'contamination.out_sd' must be positive, got {out_sd}")
 
     activations = [_parse_enum(a, Activation, "activation")
                    for a in _as_list(_require(doc, "activation"))]
@@ -206,12 +200,8 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
     loss_specs = [parse_loss(t) for t in _as_list(_require(doc, "losses"))]
 
     replications = _int(_require(doc, "replications"), "replications")
-    if replications < 1:
-        raise ConfigError("'replications' must be a positive integer")
     base_seed = _int(_require(doc, "base_seed"), "base_seed")
     diverge_norm = _num(doc.get("diverge_norm", 1e8), "diverge_norm")
-    if diverge_norm <= 0:
-        raise ConfigError("'diverge_norm' must be positive")
 
     opt_doc = doc.get("optimizer")
     if opt_doc is not None and not isinstance(opt_doc, dict):
@@ -224,15 +214,16 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
             for kind in kinds:
                 for r in radii:
                     for mu_out in mus:
-                        cspec = ContaminationSpec(kind=kind, r=r, mu_out=mu_out,
-                                                  out_sd=out_sd)
+                        cspec = _build(ContaminationSpec, "contamination.", kind=kind,
+                                       r=r, mu_out=mu_out, out_sd=out_sd)
                         for activation in activations:
                             for depth in depths:
                                 opt = (_parse_optimizer(opt_doc, exp.DEPTH_STEPMAX[depth])
                                        if opt_doc is not None else None)
                                 for standardize in standardizes:
                                     for loss in loss_specs:
-                                        cfgs.append(ExperimentConfig(
+                                        cfgs.append(_build(
+                                            ExperimentConfig, "",
                                             data=dspec,
                                             contamination=cspec,
                                             activation=activation,
@@ -244,6 +235,9 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
                                             optimizer=opt,
                                             diverge_norm=diverge_norm,
                                         ))
+    # the specs built above do the range checks; with an empty list none is built
+    if not cfgs:
+        raise ConfigError("configuration expands to no runs: a list-valued key is empty")
     return cfgs
 
 
@@ -257,12 +251,10 @@ def parse_config(path) -> list[ExperimentConfig]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if isinstance(doc, list):
-        cfgs = []
-        for entry in doc:
-            cfgs.extend(expand_config(entry))
-        return cfgs
-    return expand_config(doc)
+    docs = doc if isinstance(doc, list) else [doc]
+    if not docs:
+        raise ConfigError(f"{path} holds an empty list of documents")
+    return [cfg for entry in docs for cfg in expand_config(entry)]
 
 
 def emit_config(cfgs: list[ExperimentConfig]) -> list[dict]:
@@ -485,34 +477,27 @@ def cmd_datagen(p: int, n_train: int, n_test: int, structure: str, snr: float,
 
 def cmd_probe(config_path, seed_override: int | None = None,
               max_lines: int = 40) -> int:
-    """Breakdown probe: train the first configured cell once and print the
-    weight-norm trajectory."""
+    """Breakdown probe: train replication 0 of the first configured cell,
+    prepared exactly as run prepares it, and print the weight-norm
+    trajectory."""
     try:
         cfgs = parse_config(config_path)
         cfgs = _apply_seed_override(cfgs, seed_override)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not cfgs:
-        print("error: no configurations", file=sys.stderr)
-        return EXIT_CONFIG
     cfg = cfgs[0]
-    rng_data = np.random.default_rng(
-        exp.derive_seed("data", cfg.base_seed, exp._data_key(cfg.data), 0))
-    train_ds, _ = generate_dataset(cfg.data, rng_data)
-    rng_cont = np.random.default_rng(
-        exp.derive_seed("cont", cfg.base_seed, exp._data_key(cfg.data),
-                        exp._cont_key(cfg.contamination), 0))
-    train_c = apply_contamination(train_ds, cfg.contamination, rng_cont)
-    y = train_c.Y
-    if cfg.standardize:
-        y = fit_standardizer(y).apply(y)
-    net = init_weights(cfg.architecture(), np.random.default_rng(
-        exp.derive_seed("init", cfg.base_seed, cfg.config_id, 0)))
-    n0 = weight_vec_norm(net)
-    print(f"config {cfg.config_id}: initial weight norm {n0:.6g}")
-    outcome = train(net, (train_c.X, y), cfg.loss, cfg.resolved_optimizer(),
-                    cfg.diverge_norm, record_norms=True)
+    # a run that run_sweep records as status=error, such as one with a
+    # degenerate standardization or diverge_norm below the initial norm,
+    # ends the probe with an error message instead of a traceback
+    try:
+        prep = exp.prepare_run(cfg, 0)
+        n0 = weight_vec_norm(prep.net)
+        print(f"config {cfg.config_id}: initial weight norm {n0:.6g}")
+        outcome = exp.train_run(cfg, prep, record_norms=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     hist = outcome.norm_history
     stride = max(1, len(hist) // max_lines)
     for i in range(0, len(hist), stride):

@@ -34,9 +34,9 @@ class ContaminationSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
-            raise ValueError("contamination radius r must lie in [0, 1]")
-        if self.out_sd <= 0:
-            raise ValueError("out_sd must be positive")
+            raise ValueError(f"r must lie in [0, 1], got {self.r}")
+        if not self.out_sd > 0:
+            raise ValueError(f"out_sd must be positive, got {self.out_sd}")
 
 
 def contamination_count(r: float, n: int) -> int:

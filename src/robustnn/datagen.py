@@ -30,11 +30,13 @@ class DataGenSpec:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError("p must be positive")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be positive")
+            raise ValueError(f"p must be positive, got {self.p}")
+        if self.n_train < 1:
+            raise ValueError(f"n_train must be positive, got {self.n_train}")
+        if self.n_test < 1:
+            raise ValueError(f"n_test must be positive, got {self.n_test}")
         if not self.snr > 0:
-            raise ValueError("snr must be positive")
+            raise ValueError(f"snr must be positive, got {self.snr}")
 
 
 # the study's (p, n_train, n_test, snr, mu) grid
@@ -136,10 +138,6 @@ def fit_standardizer(y) -> StandardizationTransform:
     if y.size < 2:
         raise ValueError("need at least two responses")
     return StandardizationTransform(y_min=float(y.min()), y_max=float(y.max()))
-
-
-def apply_standardizer(t: StandardizationTransform, y) -> np.ndarray:
-    return t.apply(y)
 
 
 def dataset_to_csv(data: Dataset, path) -> None:

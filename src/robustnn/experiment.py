@@ -25,12 +25,13 @@ from .datagen import (
     generate_dataset,
 )
 from .losses import LossKind, LossSpec
-from .net import Activation, Architecture, init_weights, predict
+from .net import Activation, Architecture, Network, init_weights, predict
 from .optimizer import (
     DEFAULT_DIVERGE_NORM,
     STEPMAX_DEEP,
     STEPMAX_SHALLOW,
     OptimizerSpec,
+    TrainOutcome,
     TrainStatus,
     train,
 )
@@ -94,9 +95,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ValueError("replications must be positive")
-        if self.diverge_norm <= 0:
-            raise ValueError("diverge_norm must be positive")
+            raise ValueError(f"replications must be positive, got {self.replications}")
+        if not self.diverge_norm > 0:
+            raise ValueError(f"diverge_norm must be positive, got {self.diverge_norm}")
 
     @property
     def scenario_id(self) -> str:
@@ -174,7 +175,76 @@ class RunRecord:
         return self.test_loss is not None and math.isfinite(self.test_loss)
 
 
-def _record_base(cfg: ExperimentConfig, rep: int, seed: int) -> dict:
+def _init_seed(cfg: ExperimentConfig, rep: int) -> int:
+    return derive_seed("init", cfg.base_seed, cfg.config_id, rep)
+
+
+def _fingerprint(data: Dataset) -> str:
+    return hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest()
+
+
+@dataclass
+class PreparedRun:
+    """Everything one replication trains on and is evaluated against."""
+
+    train: Dataset          # contaminated; responses standardized if configured
+    test: Dataset           # never contaminated, raw responses
+    y_test: np.ndarray      # test responses on the training responses' scale
+    test_fingerprint: str   # hash of test when prepared
+    hook: object            # the adaptive attacker's epoch_end_hook, or None
+    net: Network            # initial network
+
+
+def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
+    """Build the data, contamination, standardizer, attacker and initial
+    network of one replication.
+
+    Data generation and contamination draw from scenario-scoped streams so
+    the loss functions of one scenario see identical datasets; only the
+    network initialization is keyed by the full configuration. Raises
+    ValueError when the training responses cannot be standardized:
+    DegenerateStandardizationError when they are all equal.
+    """
+    if rep >= cfg.replications:
+        raise ValueError("rep exceeds the configured replication count")
+    base = cfg.base_seed
+    dkey = _data_key(cfg.data)
+    ckey = _cont_key(cfg.contamination)
+
+    rng_data = np.random.default_rng(derive_seed("data", base, dkey, rep))
+    train_ds, test_ds = generate_dataset(cfg.data, rng_data)
+    test_fingerprint = _fingerprint(test_ds)
+
+    rng_cont = np.random.default_rng(derive_seed("cont", base, dkey, ckey, rep))
+    train_c = apply_contamination(train_ds, cfg.contamination, rng_cont)
+
+    if cfg.standardize:
+        transform = fit_standardizer(train_c.Y)
+        y_train = transform.apply(train_c.Y)
+        y_test = transform.apply(test_ds.Y)
+    else:
+        y_train = train_c.Y
+        y_test = test_ds.Y
+
+    hook = None
+    if cfg.contamination.kind == ContaminationKind.Y_ITERATIVE:
+        _, hook = make_iterative_attack_hook(
+            train_c.n, rng_cont, eps=cfg.contamination.mu_out)
+
+    net = init_weights(cfg.architecture(), np.random.default_rng(_init_seed(cfg, rep)))
+    return PreparedRun(Dataset(train_c.X, y_train), test_ds, y_test, test_fingerprint,
+                       hook, net)
+
+
+def train_run(cfg: ExperimentConfig, prep: PreparedRun, *,
+              record_norms: bool = False) -> TrainOutcome:
+    """Train a prepared replication with its configured loss, optimizer,
+    divergence level and attacker."""
+    return train(prep.net, prep.train, cfg.loss, cfg.resolved_optimizer(),
+                 cfg.diverge_norm, record_norms=record_norms, epoch_end_hook=prep.hook)
+
+
+def _record_base(cfg: ExperimentConfig, rep: int) -> dict:
     return dict(
         config_id=cfg.config_id,
         structure=cfg.data.structure.value,
@@ -188,70 +258,45 @@ def _record_base(cfg: ExperimentConfig, rep: int, seed: int) -> dict:
         mu_out=cfg.contamination.mu_out,
         loss=loss_token(cfg.loss),
         rep=rep,
-        seed=seed,
+        seed=_init_seed(cfg, rep),
+    )
+
+
+def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
+    return RunRecord(
+        **_record_base(cfg, rep),
+        converged=False,
+        status=STATUS_ERROR,
+        epochs=0,
+        test_loss=None,
+        sup_weight_norm=float("nan"),
+        breakdown=False,
+        error=error,
     )
 
 
 def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """Run one replication of one configuration.
 
-    Data generation and contamination draw from scenario-scoped streams so
-    the loss functions of one scenario see identical datasets; only the
-    network initialization is keyed by the full configuration. The test set
-    bypasses contamination entirely, which is checked via a byte hash; a run
-    whose test set changed is recorded as an error.
+    The test set bypasses contamination entirely, which is checked via a
+    byte hash; a run whose test set changed, or whose responses cannot be
+    standardized, is recorded as an error.
     """
-    if rep >= cfg.replications:
-        raise ValueError("rep exceeds the configured replication count")
-    base = cfg.base_seed
-    dkey = _data_key(cfg.data)
-    ckey = _cont_key(cfg.contamination)
-    init_seed = derive_seed("init", base, cfg.config_id, rep)
-
     try:
-        rng_data = np.random.default_rng(derive_seed("data", base, dkey, rep))
-        train_ds, test_ds = generate_dataset(cfg.data, rng_data)
-        test_fingerprint = hashlib.sha256(
-            test_ds.X.tobytes() + test_ds.Y.tobytes()).hexdigest()
-
-        rng_cont = np.random.default_rng(derive_seed("cont", base, dkey, ckey, rep))
-        train_c = apply_contamination(train_ds, cfg.contamination, rng_cont)
-
-        if cfg.standardize:
-            transform = fit_standardizer(train_c.Y)
-            y_train = transform.apply(train_c.Y)
-            y_test = transform.apply(test_ds.Y)
-        else:
-            y_train = train_c.Y
-            y_test = test_ds.Y
-
-        hook = None
-        if cfg.contamination.kind == ContaminationKind.Y_ITERATIVE:
-            _, hook = make_iterative_attack_hook(
-                train_c.n, rng_cont, eps=cfg.contamination.mu_out)
-
-        net = init_weights(cfg.architecture(), np.random.default_rng(init_seed))
-        outcome = train(
-            net,
-            Dataset(train_c.X, y_train),
-            cfg.loss,
-            cfg.resolved_optimizer(),
-            cfg.diverge_norm,
-            epoch_end_hook=hook,
-        )
+        prep = prepare_run(cfg, rep)
+        outcome = train_run(cfg, prep)
 
         test_loss = None
         if outcome.status == TrainStatus.CONVERGED:
             with np.errstate(over="ignore", invalid="ignore"):
-                preds = predict(outcome.final_net, test_ds.X)
-                test_loss = float(np.mean((preds - y_test) ** 2))
+                preds = predict(outcome.final_net, prep.test.X)
+                test_loss = float(np.mean((preds - prep.y_test) ** 2))
 
-        if hashlib.sha256(
-                test_ds.X.tobytes() + test_ds.Y.tobytes()).hexdigest() != test_fingerprint:
+        if _fingerprint(prep.test) != prep.test_fingerprint:
             raise HeldOutSetModifiedError("test set was modified during the run")
 
         return RunRecord(
-            **_record_base(cfg, rep, init_seed),
+            **_record_base(cfg, rep),
             converged=outcome.status == TrainStatus.CONVERGED,
             status=outcome.status.value,
             epochs=outcome.epochs_used,
@@ -260,16 +305,7 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
             breakdown=outcome.breakdown,
         )
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
-        return RunRecord(
-            **_record_base(cfg, rep, init_seed),
-            converged=False,
-            status=STATUS_ERROR,
-            epochs=0,
-            test_loss=None,
-            sup_weight_norm=float("nan"),
-            breakdown=False,
-            error=str(exc),
-        )
+        return _error_record(cfg, rep, str(exc))
 
 
 def _run_task(task: tuple[ExperimentConfig, int]) -> RunRecord:
@@ -277,16 +313,7 @@ def _run_task(task: tuple[ExperimentConfig, int]) -> RunRecord:
     try:
         return run_single(cfg, rep)
     except Exception as exc:  # record, never abort the sweep
-        return RunRecord(
-            **_record_base(cfg, rep, derive_seed("init", cfg.base_seed, cfg.config_id, rep)),
-            converged=False,
-            status=STATUS_ERROR,
-            epochs=0,
-            test_loss=None,
-            sup_weight_norm=float("nan"),
-            breakdown=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _error_record(cfg, rep, f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRecord]:

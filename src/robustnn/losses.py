@@ -1,8 +1,7 @@
 """Robust regression losses and trimmed aggregation.
 
 Residual convention: r = y - yhat. All value/gradient functions are
-vectorized over r; loss_gradient returns dL/dr, dloss_dprediction returns
-dL/dyhat = -dL/dr.
+vectorized over r; loss_gradient returns dL/dr, so dL/dyhat = -dL/dr.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .net import GradientSet
 
 TUKEY_K_DEFAULT = 4.685  # 95% efficiency tuning constant
 HUBER_DELTA_FLOOR = 1e-8
@@ -43,12 +40,12 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind == LossKind.HUBER:
-            if self.huber_delta is not None and self.huber_delta <= 0:
-                raise ValueError("huber_delta must be positive")
+            if self.huber_delta is not None and not self.huber_delta > 0:
+                raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
         elif self.huber_delta is not None:
             raise ValueError("huber_delta only applies to the Huber loss")
-        if self.kind == LossKind.TUKEY and self.tukey_k <= 0:
-            raise ValueError("tukey_k must be positive")
+        if self.kind == LossKind.TUKEY and not self.tukey_k > 0:
+            raise ValueError(f"tukey_k must be positive, got {self.tukey_k}")
         if self.kind == LossKind.TRIMMED_SQUARED:
             if self.trim_alpha is None or not 0.0 < self.trim_alpha < 1.0:
                 raise ValueError("trim_alpha must lie in (0, 1)")
@@ -197,11 +194,6 @@ def loss_gradient(spec: LossSpec, r, delta: float | None = None):
     return _apply(_kernels(spec)[1], spec, r, delta)
 
 
-def dloss_dprediction(spec: LossSpec, r, delta: float | None = None):
-    """dL/dyhat for residual r = y - yhat."""
-    return -loss_gradient(spec, r, delta)
-
-
 def trim_count(n: int, alpha: float) -> int:
     """h = ceil((1-alpha) * n), with the product snapped to the nearest
     integer first so binary representations of decimal rates (0.1, 0.25, ...)
@@ -261,27 +253,3 @@ def trimmed_select(keys, alpha: float) -> TrimResult:
     h = trim_count(keys.shape[0], alpha)
     kept, aggregate = _trim(keys, h)
     return TrimResult(kept_indices=kept, h=h, aggregate=aggregate)
-
-
-def aggregate_gradients(per_instance: list[GradientSet],
-                        per_instance_losses,
-                        spec: LossSpec) -> GradientSet:
-    """Reduce per-instance gradients to the epoch gradient.
-
-    Non-trimmed kinds average all instances; the trimmed squared loss
-    averages only the h instances with the smallest losses, discarding the
-    rest entirely.
-    """
-    if not per_instance:
-        raise ValueError("no gradients to aggregate")
-    if spec.is_trimmed:
-        sel = trimmed_select(per_instance_losses, spec.trim_alpha)
-        chosen = [per_instance[i] for i in sel.kept_indices]
-    else:
-        chosen = per_instance
-    m = len(chosen)
-    d_w = [sum(g.d_weights[h] for g in chosen) / m
-           for h in range(len(chosen[0].d_weights))]
-    d_b = [sum(g.d_intercepts[h] for g in chosen) / m
-           for h in range(len(chosen[0].d_intercepts))]
-    return GradientSet(d_weights=d_w, d_intercepts=d_b)

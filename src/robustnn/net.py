@@ -1,9 +1,9 @@
 """Feed-forward regression network core.
 
 Plain numpy implementation of a fully-connected feed-forward network with
-one real-valued output node: forward pass, exact backpropagation producing
-per-instance gradients, parameter accounting and the flattened-parameter
-norm used by the breakdown probe.
+one real-valued output node: batch forward pass, exact backpropagation to
+the mean gradient over all or a subset of rows, parameter accounting and
+the flattened-parameter norm used by the breakdown probe.
 """
 
 from __future__ import annotations
@@ -149,19 +149,6 @@ class Network:
 
 
 @dataclass
-class ForwardTrace:
-    """Per-layer pre-activations and activations of one forward pass.
-
-    Lists are indexed by weighted layer (0 = first hidden layer); the input
-    vector is not repeated here.
-    """
-
-    pre_activations: list[np.ndarray]
-    activations: list[np.ndarray]
-    prediction: float
-
-
-@dataclass
 class BatchTrace:
     """Forward pass over a whole data matrix.
 
@@ -173,14 +160,6 @@ class BatchTrace:
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     predictions: np.ndarray
-
-
-@dataclass
-class GradientSet:
-    """Loss gradients with the same shapes as the owning network's parameters."""
-
-    d_weights: list[np.ndarray]
-    d_intercepts: list[np.ndarray]
 
 
 def count_parameters(arch: Architecture) -> tuple[int, int, int]:
@@ -348,16 +327,6 @@ def forward_batch(net: Network, X) -> BatchTrace:
     return BatchTrace(pre_activations=pre, activations=acts, predictions=acts[-1][:, 0])
 
 
-def forward(net: Network, x) -> ForwardTrace:
-    """Forward pass for a single input vector."""
-    trace = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
-    return ForwardTrace(
-        pre_activations=[a[0].copy() for a in trace.pre_activations],
-        activations=[z[0].copy() for z in trace.activations[1:]],
-        prediction=float(trace.predictions[0]),
-    )
-
-
 def predict(net: Network, X) -> np.ndarray:
     """Predictions for every row of X."""
     return forward_batch(net, X).predictions
@@ -378,26 +347,6 @@ def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarra
     return deltas
 
 
-def backprop(net: Network, X, dloss_dpred) -> list[GradientSet]:
-    """Per-instance parameter gradients for every row of X.
-
-    The caller supplies dL/dyhat per instance (the residual-gradient part of
-    the chosen loss); this routine only applies the network chain rule. The
-    returned list leaves the aggregation policy (mean, trimmed mean) to the
-    caller.
-    """
-    trace = forward_batch(net, X)
-    deltas = batch_deltas(net, trace, dloss_dpred)
-    n = trace.predictions.shape[0]
-    out = []
-    for i in range(n):
-        d_w = [np.outer(deltas[h][i], trace.activations[h][i])
-               for h in range(net.architecture.n_layers)]
-        d_b = [deltas[h][i].copy() for h in range(net.architecture.n_layers)]
-        out.append(GradientSet(d_weights=d_w, d_intercepts=d_b))
-    return out
-
-
 def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None) -> np.ndarray:
     """Mean gradient over instances as a flat vector in param_vector layout.
 
@@ -408,13 +357,6 @@ def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None)
     weights, intercepts = _split(flat, sizes)
     n = _gradient_sum(deltas, trace.activations[:-1], kept, weights, intercepts)
     return np.divide(flat, n, out=flat)
-
-
-def gradient_set_to_vector(g: GradientSet) -> np.ndarray:
-    """Flatten a GradientSet with the param_vector layout (intercepts first)."""
-    return np.concatenate(
-        [v.ravel() for v in g.d_intercepts] + [w.ravel() for w in g.d_weights]
-    )
 
 
 def weight_vec_norm(net: Network) -> float:

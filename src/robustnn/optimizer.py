@@ -15,14 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import losses as L
-from .net import (
-    BatchKernel,
-    GradientSet,
-    Network,
-    gradient_set_to_vector,
-    network_from_vector,
-    param_vector,
-)
+from .net import BatchKernel, Network, network_from_vector, param_vector
 
 DEFAULT_DIVERGE_NORM = 1e8
 STEPMAX_SHALLOW = 100_000
@@ -53,31 +46,20 @@ class OptimizerSpec:
     grad_threshold: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.eta_minus < 1.0 < self.eta_plus:
-            raise ValueError("need 0 < eta_minus < 1 < eta_plus")
+        # each check is written so that NaN fails it; the messages start
+        # with the field name, which the CLI prefixes with its config key
+        if not 0.0 < self.eta_minus < 1.0:
+            raise ValueError(f"eta_minus must lie in (0, 1), got {self.eta_minus}")
+        if not self.eta_plus > 1.0:
+            raise ValueError(f"eta_plus must exceed 1, got {self.eta_plus}")
         if not self.delta_min <= self.delta0 <= self.delta_max:
-            raise ValueError("need delta_min <= delta0 <= delta_max")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise ValueError(f"delta0 must lie in [delta_min, delta_max], got {self.delta0}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
         if self.stepmax < 1:
-            raise ValueError("stepmax must be positive")
-        if self.grad_threshold <= 0:
-            raise ValueError("grad_threshold must be positive")
-
-
-@dataclass
-class RpropState:
-    """Per-parameter step sizes and the sign of the previous gradient."""
-
-    step_sizes: np.ndarray
-    prev_grad_signs: np.ndarray
-
-    @classmethod
-    def initial(cls, n_params: int, spec: OptimizerSpec) -> "RpropState":
-        return cls(
-            step_sizes=np.full(n_params, spec.delta0, dtype=np.float64),
-            prev_grad_signs=np.zeros(n_params, dtype=np.float64),
-        )
+            raise ValueError(f"stepmax must be positive, got {self.stepmax}")
+        if not self.grad_threshold > 0:
+            raise ValueError(f"grad_threshold must be positive, got {self.grad_threshold}")
 
 
 @dataclass
@@ -90,17 +72,14 @@ class TrainOutcome:
     norm_history: list[float] | None = None
 
 
-def check_convergence(agg: GradientSet, threshold: float) -> bool:
-    """True iff every aggregated partial derivative is strictly below the
-    threshold in absolute value."""
-    g = gradient_set_to_vector(agg)
-    return bool(np.abs(g).max() < threshold)
-
-
-def _in_place_update(spec: OptimizerSpec, n_params: int, state: RpropState | None):
+def _in_place_update(spec: OptimizerSpec, n_params: int,
+                     steps: np.ndarray | None = None, signs: np.ndarray | None = None):
     """The update rule as a function (params, g) that moves params in place,
-    and for Rprop+ also the step sizes and signs of state, with scratch
-    arrays allocated once."""
+    with scratch arrays allocated once.
+
+    Rprop+ also moves its per-parameter step sizes and previous gradient
+    signs in place: the given arrays, or fresh ones starting at delta0 and 0.
+    """
     s = np.empty(n_params)
     if spec.rule == Rule.SIGN_GD:
         eta = spec.eta
@@ -116,7 +95,9 @@ def _in_place_update(spec: OptimizerSpec, n_params: int, state: RpropState | Non
     # sign take a grown step; a sign flip shrinks the step, reverts the
     # previous update for that parameter and skips this epoch's update (the
     # stored sign becomes 0 so the next epoch falls into the neutral case).
-    steps, signs = state.step_sizes, state.prev_grad_signs
+    if steps is None:
+        steps = np.full(n_params, spec.delta0, dtype=np.float64)
+        signs = np.zeros(n_params, dtype=np.float64)
     eta_plus, eta_minus = spec.eta_plus, spec.eta_minus
     delta_min, delta_max = spec.delta_min, spec.delta_max
     prod, factor, revert, move = (np.empty(n_params) for _ in range(4))
@@ -147,21 +128,6 @@ def _in_place_update(spec: OptimizerSpec, n_params: int, state: RpropState | Non
         np.copyto(signs, s)
 
     return rprop_plus
-
-
-def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
-         agg: GradientSet) -> tuple[Network, RpropState | None]:
-    """Apply one optimizer update to a network given an aggregated gradient.
-
-    Neither the network nor the state passed in is modified."""
-    params = param_vector(net)
-    if spec.rule == Rule.RPROP_PLUS:
-        if state is None:
-            state = RpropState.initial(params.shape[0], spec)
-        state = RpropState(step_sizes=state.step_sizes.copy(),
-                           prev_grad_signs=state.prev_grad_signs.copy())
-    _in_place_update(spec, params.shape[0], state)(params, gradient_set_to_vector(agg))
-    return network_from_vector(net.architecture, params, copy=False), state
 
 
 def _as_xy(data):
@@ -220,9 +186,7 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     grad = np.empty(n_total)
     grad_net = network_from_vector(arch, grad, copy=False)
     d_weights, d_intercepts = grad_net.weights, grad_net.intercepts
-    update = _in_place_update(
-        spec, n_total,
-        RpropState.initial(n_total, spec) if spec.rule == Rule.RPROP_PLUS else None)
+    update = _in_place_update(spec, n_total)
 
     value, gradient = L._kernels(loss_spec)
     adaptive = loss_spec.adaptive_huber

@@ -1,0 +1,104 @@
+"""Per-instance reference route for the training arithmetic, kept for tests.
+
+train sums the gradient over the kept rows in one pass through
+net.BatchKernel. This module builds one flat gradient per instance in
+param_vector layout, reduces them with a plain loop (mean, or trimmed mean
+over the instances with the smallest losses), and applies the optimizer's
+own update rule to copies of the parameters, so tests can compare the
+fused route against an instance-by-instance one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from robustnn import losses as L
+from robustnn.net import (
+    Network,
+    batch_deltas,
+    forward_batch,
+    network_from_vector,
+    param_vector,
+)
+from robustnn.optimizer import OptimizerSpec, Rule, _in_place_update
+
+
+def dloss_dprediction(spec: L.LossSpec, r, delta: float | None = None):
+    """dL/dyhat for residual r = y - yhat."""
+    return -L.loss_gradient(spec, r, delta)
+
+
+def backprop(net: Network, X, dloss_dpred) -> np.ndarray:
+    """Per-instance parameter gradients, one row per row of X, each a flat
+    vector in param_vector layout (intercepts first).
+
+    The caller supplies dL/dyhat per instance (the residual-gradient part of
+    the chosen loss); this routine only applies the network chain rule and
+    leaves the aggregation policy (mean, trimmed mean) to the caller.
+    """
+    trace = forward_batch(net, X)
+    deltas = batch_deltas(net, trace, dloss_dpred)
+    inputs = trace.activations[:-1]
+    rows = []
+    for i in range(trace.predictions.shape[0]):
+        rows.append(np.concatenate(
+            [d[i] for d in deltas]
+            + [np.outer(d[i], z[i]).ravel() for d, z in zip(deltas, inputs)]))
+    return np.array(rows)
+
+
+def aggregate_gradients(per_instance: np.ndarray, per_instance_losses,
+                        spec: L.LossSpec) -> np.ndarray:
+    """Reduce per-instance gradients to the epoch gradient.
+
+    Non-trimmed kinds average all instances; the trimmed squared loss
+    averages only the h instances with the smallest losses, discarding the
+    rest entirely.
+    """
+    if len(per_instance) == 0:
+        raise ValueError("no gradients to aggregate")
+    if spec.is_trimmed:
+        sel = L.trimmed_select(per_instance_losses, spec.trim_alpha)
+        chosen = [per_instance[i] for i in sel.kept_indices]
+    else:
+        chosen = list(per_instance)
+    total = chosen[0].copy()
+    for g in chosen[1:]:
+        total += g
+    return total / len(chosen)
+
+
+@dataclass
+class RpropState:
+    """Per-parameter step sizes and the sign of the previous gradient."""
+
+    step_sizes: np.ndarray
+    prev_grad_signs: np.ndarray
+
+    @classmethod
+    def initial(cls, n_params: int, spec: OptimizerSpec) -> "RpropState":
+        return cls(
+            step_sizes=np.full(n_params, spec.delta0, dtype=np.float64),
+            prev_grad_signs=np.zeros(n_params, dtype=np.float64),
+        )
+
+
+def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
+         agg: np.ndarray) -> tuple[Network, RpropState | None]:
+    """Apply one optimizer update to a network given a flat aggregated
+    gradient, through the update rule train uses.
+
+    Neither the network nor the state passed in is modified."""
+    params = param_vector(net)
+    steps = signs = None
+    if spec.rule == Rule.RPROP_PLUS:
+        if state is None:
+            state = RpropState.initial(params.shape[0], spec)
+        state = RpropState(step_sizes=state.step_sizes.copy(),
+                           prev_grad_signs=state.prev_grad_signs.copy())
+        steps, signs = state.step_sizes, state.prev_grad_signs
+    _in_place_update(spec, params.shape[0], steps, signs)(
+        params, np.asarray(agg, dtype=np.float64))
+    return network_from_vector(net.architecture, params, copy=False), state

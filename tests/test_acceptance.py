@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracle import backprop, dloss_dprediction
 from robustnn import losses as L
 from robustnn.cli import cmd_run
 from robustnn.contamination import (
@@ -35,11 +36,11 @@ from robustnn.experiment import (
 from robustnn.net import (
     Activation,
     Architecture,
-    backprop,
+    batch_deltas,
     count_parameters,
     forward_batch,
-    gradient_set_to_vector,
     init_weights,
+    mean_gradient_vector,
     network_from_vector,
     param_vector,
 )
@@ -69,15 +70,41 @@ def breakdown_data(seed):
 SHALLOW = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
 
 
+C01_ROWS = 5
+
+
 def test_c01_gradient_oracle():
     with criterion("criterion 1 (gradient vs central finite differences)"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(314)
+        # the extra rows and the kept subsets come from a stream of their
+        # own, so rng draws the same architectures whatever they need
+        rng_rows = np.random.default_rng(315)
         step = 1e-5
         specs = [(L.LossSpec.squared(), None, None),
                  (L.LossSpec.huber(1.0), 1.0, 1.0),
                  (L.LossSpec.tukey(), None, L.TUKEY_K_DEFAULT)]
         acts = [Activation.LOGISTIC, Activation.SOFTPLUS]
+
+        def off_kink(r, kink):
+            if kink is None:
+                return r
+            return np.where(np.abs(np.abs(r) - kink) < 0.05, r + 0.15 * np.sign(r), r)
+
+        def assert_matches_fd(analytic, loss_at, p0):
+            fd = np.zeros_like(p0)
+            for i in range(p0.size):
+                up, dn = p0.copy(), p0.copy()
+                up[i] += step
+                dn[i] -= step
+                fd[i] = (loss_at(up) - loss_at(dn)) / (2 * step)
+            scale = np.maximum(np.abs(analytic), np.abs(fd))
+            rel = np.where(scale > 1e-6,
+                           np.abs(analytic - fd) / np.maximum(scale, 1e-300),
+                           0.0)
+            assert rel.max() <= 1e-6
+            assert np.abs(analytic - fd)[scale <= 1e-6].max(initial=0.0) <= 1e-9
+
         checked = 0
         while checked < 54:
             for spec, delta, kink in specs:
@@ -87,33 +114,32 @@ def test_c01_gradient_oracle():
                                               range(int(rng.integers(1, 3)))),
                                         act, Activation.IDENTITY)
                     net = init_weights(arch, rng)
+                    p0 = param_vector(net)
+
+                    def mean_loss_at(params, X, y, rows=None):
+                        p = forward_batch(network_from_vector(arch, params), X).predictions
+                        per = L.loss_value(spec, y - p, delta)
+                        return float(np.mean(per if rows is None else per[rows]))
+
+                    # the per-instance oracle on one row
                     x = rng.standard_normal((1, arch.input_dim))
                     pred = forward_batch(net, x).predictions
-                    r = float(rng.uniform(-3, 3))
-                    if kink is not None and abs(abs(r) - kink) < 0.05:
-                        r += 0.15 * math.copysign(1.0, r)
+                    r = float(off_kink(rng.uniform(-3, 3), kink))
                     y = pred + r
-                    dl = L.dloss_dprediction(spec, y - pred, delta)
-                    analytic = gradient_set_to_vector(backprop(net, x, dl)[0])
+                    analytic = backprop(net, x, dloss_dprediction(spec, y - pred, delta))[0]
+                    assert_matches_fd(analytic, lambda v: mean_loss_at(v, x, y), p0)
 
-                    def loss_at(params):
-                        p = forward_batch(network_from_vector(arch, params),
-                                          x).predictions
-                        return float(L.loss_value(spec, y - p, delta)[0])
-
-                    p0 = param_vector(net)
-                    fd = np.zeros_like(p0)
-                    for i in range(p0.size):
-                        up, dn = p0.copy(), p0.copy()
-                        up[i] += step
-                        dn[i] -= step
-                        fd[i] = (loss_at(up) - loss_at(dn)) / (2 * step)
-                    scale = np.maximum(np.abs(analytic), np.abs(fd))
-                    rel = np.where(scale > 1e-6,
-                                   np.abs(analytic - fd) / np.maximum(scale, 1e-300),
-                                   0.0)
-                    assert rel.max() <= 1e-6
-                    assert np.abs(analytic - fd)[scale <= 1e-6].max(initial=0.0) <= 1e-9
+                    # the route train runs, over all rows and over a kept subset
+                    X = np.vstack([x, rng_rows.standard_normal((C01_ROWS - 1, arch.input_dim))])
+                    trace = forward_batch(net, X)
+                    Y = trace.predictions + off_kink(rng_rows.uniform(-3, 3, C01_ROWS), kink)
+                    deltas = batch_deltas(
+                        net, trace, -L.loss_gradient(spec, Y - trace.predictions, delta))
+                    kept = np.sort(rng_rows.choice(C01_ROWS, replace=False,
+                                                   size=int(rng_rows.integers(1, C01_ROWS))))
+                    for rows in (None, kept):
+                        assert_matches_fd(mean_gradient_vector(trace, deltas, rows),
+                                          lambda v: mean_loss_at(v, X, Y, rows), p0)
                     checked += 1
         elapsed = time.perf_counter() - t0
         assert checked >= 50

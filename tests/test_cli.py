@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from robustnn import cli
-from robustnn.experiment import RunRecord
+from robustnn.experiment import RunRecord, run_single, run_sweep
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -41,8 +42,42 @@ class TestParseConfig:
 
     def test_out_of_range_radius_names_the_key(self, tmp_path):
         doc = base_doc(contamination={"kind": "y-convex", "r": 1.5, "mu_out": 10})
-        with pytest.raises(cli.ConfigError, match="contamination.r"):
+        with pytest.raises(cli.ConfigError, match=r"contamination\.r"):
             cli.parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("contamination.out_sd", {"contamination": {"kind": "y-convex", "out_sd": -1.0}}),
+        ("replications", {"replications": 0}),
+        ("diverge_norm", {"diverge_norm": -1.0}),
+        ("data.n_test", {"data": {"p": 3, "n_train": 30, "n_test": 0}}),
+        ("optimizer.eta", {"optimizer": {"eta": 0.0}}),
+        ("'losses' entry 'trim100'", {"losses": ["trim100"]}),
+    ])
+    def test_out_of_range_value_names_the_key(self, tmp_path, key, overrides):
+        doc = base_doc(**overrides)
+        with pytest.raises(cli.ConfigError, match=re.escape(key)):
+            cli.parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("optimizer.grad_threshold", {"optimizer": {"grad_threshold": math.nan}}),
+        ("contamination.out_sd", {"contamination": {"kind": "y-convex", "r": 0.1,
+                                                    "out_sd": math.nan}}),
+        ("contamination.mu_out", {"contamination": {"kind": "y-convex", "r": 0.1,
+                                                    "mu_out": -math.inf}}),
+        ("diverge_norm", {"diverge_norm": math.inf}),
+    ])
+    def test_non_finite_number_names_the_key(self, tmp_path, key, overrides):
+        # json writes and reads these as the tokens NaN, Infinity, -Infinity
+        path = write_config(tmp_path, base_doc(**overrides))
+        with pytest.raises(cli.ConfigError, match=re.escape(f"'{key}' must be a finite")):
+            cli.parse_config(path)
+
+    def test_empty_expansion_is_rejected(self, tmp_path):
+        doc = base_doc(losses=[], replications=0)
+        with pytest.raises(cli.ConfigError, match="expands to no runs"):
+            cli.parse_config(write_config(tmp_path, doc))
+        with pytest.raises(cli.ConfigError, match="empty list of documents"):
+            cli.parse_config(write_config(tmp_path, []))
 
     def test_unknown_key_is_named(self, tmp_path):
         doc = base_doc(surprise=1)
@@ -257,6 +292,32 @@ class TestCmdDatagenAndProbe:
         out = capsys.readouterr().out
         assert "||w||" in out
         assert "status=" in out
+
+    @pytest.mark.parametrize("contamination", [
+        {"kind": "y-iterative", "r": 0.5, "mu_out": 1.0},
+        {"kind": "y-convex", "r": 0.1, "mu_out": 100},
+    ])
+    def test_probe_trains_the_run_of_rep_zero(self, tmp_path, capsys, monkeypatch,
+                                              contamination):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        doc = base_doc(standardize=False, contamination=contamination, replications=1,
+                       optimizer={"rule": "sign-gd", "stepmax": 300})
+        path = write_config(tmp_path, doc)
+        assert cli.cmd_probe(path) == 0
+        final = capsys.readouterr().out.splitlines()[-1]
+        rec = run_single(cli.parse_config(path)[0], 0)
+        assert final.startswith(f"status={rec.status} epochs={rec.epochs} "
+                                f"sup_norm={rec.sup_weight_norm:.6g} ")
+
+    @pytest.mark.parametrize("overrides", [
+        {"data": {"p": 3, "n_train": 1, "n_test": 12}},  # one response to standardize
+        {"diverge_norm": 1.0},                           # below the initial weight norm
+    ])
+    def test_probe_reports_a_failed_run_as_an_error(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, base_doc(**overrides))
+        assert cli.cmd_probe(path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_sweep(cli.parse_config(path)[:1])[0].status == "error"
 
     def test_main_dispatch(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())

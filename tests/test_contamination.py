@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracle import aggregate_gradients, backprop, dloss_dprediction, step
 from robustnn import losses as L
 from robustnn.contamination import (
     ContaminationKind,
@@ -18,14 +19,8 @@ from robustnn.contamination import (
     make_iterative_attack_hook,
 )
 from robustnn.datagen import DataGenSpec, Dataset, Structure, generate_dataset
-from robustnn.net import (
-    Activation,
-    Architecture,
-    backprop,
-    forward_batch,
-    init_weights,
-)
-from robustnn.optimizer import OptimizerSpec, Rule, step
+from robustnn.net import Activation, Architecture, forward_batch, init_weights
+from robustnn.optimizer import OptimizerSpec, Rule
 
 
 def make_data(seed, n=150, p=5):
@@ -160,6 +155,12 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ValueError):
             ContaminationSpec(ContaminationKind.Y_CONVEX, r=1.5)
 
+    @pytest.mark.parametrize("field", [dict(r=math.nan), dict(out_sd=math.nan),
+                                       dict(out_sd=0.0)])
+    def test_nan_and_out_of_range_values_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
+            ContaminationSpec(ContaminationKind.Y_CONVEX, **field)
+
 
 class TestIterativeAttackerStep:
     def test_equal_losses_example(self):
@@ -226,8 +227,8 @@ class TestAttackerProgress:
             per_loss = L.loss_value(loss_spec, r)
             sel = L.trimmed_select(per_loss, 0.5)
             dominated.append(set(sel.kept_indices) <= set(attacked))
-            grads = backprop(net, X, L.dloss_dprediction(loss_spec, r))
-            agg = L.aggregate_gradients(grads, per_loss, loss_spec)
+            grads = backprop(net, X, dloss_dprediction(loss_spec, r))
+            agg = aggregate_gradients(grads, per_loss, loss_spec)
             sums.append(out_layer_sum(net))
             net, state = step(spec, state, net, agg)
             y = hook(0, trace.predictions, per_loss, y)

@@ -10,7 +10,6 @@ from robustnn.datagen import (
     DegenerateStandardizationError,
     StandardizationTransform,
     Structure,
-    apply_standardizer,
     dataset_from_csv,
     dataset_to_csv,
     fit_standardizer,
@@ -117,12 +116,12 @@ class TestStandardizer:
 
     def test_apply_maps_extremes_to_unit_interval(self):
         t = StandardizationTransform(2.0, 6.0)
-        np.testing.assert_array_equal(apply_standardizer(t, [2.0, 4.0, 6.0]),
+        np.testing.assert_array_equal(t.apply([2.0, 4.0, 6.0]),
                                       [0.0, 0.5, 1.0])
 
     def test_unit_transform_is_identity(self):
         t = StandardizationTransform(0.0, 1.0)
-        np.testing.assert_array_equal(apply_standardizer(t, [0.25]), [0.25])
+        np.testing.assert_array_equal(t.apply([0.25]), [0.25])
 
     def test_round_trip_with_invert(self):
         rng = np.random.default_rng(5)
@@ -141,7 +140,7 @@ class TestStandardizer:
 
     def test_values_outside_training_range_leave_unit_interval(self):
         t = StandardizationTransform(0.0, 2.0)
-        out = apply_standardizer(t, [-1.0, 3.0])
+        out = t.apply([-1.0, 3.0])
         assert out[0] < 0.0 and out[1] > 1.0
 
 

@@ -40,6 +40,12 @@ class TestConfigIds:
         assert E.loss_token(LossSpec.trimmed(0.1)) == "trim10"
         assert E.loss_token(LossSpec.trimmed(0.5)) == "trim50"
 
+    @pytest.mark.parametrize("field", [dict(diverge_norm=math.nan),
+                                       dict(diverge_norm=0.0), dict(replications=0)])
+    def test_invalid_values_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
+            dataclasses.replace(small_config(), **field)
+
     def test_depth_controls_architecture_and_stepmax(self):
         cfg = small_config()
         assert cfg.architecture().hidden_sizes == (10, 10)

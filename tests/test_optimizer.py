@@ -1,27 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracle import RpropState, aggregate_gradients, backprop, dloss_dprediction, step
 from robustnn import losses as L
 from robustnn.datagen import DataGenSpec, Structure, fit_standardizer, generate_dataset
 from robustnn.net import (
     Activation,
     Architecture,
-    GradientSet,
     count_parameters,
     forward_batch,
     init_weights,
     network_from_vector,
     param_vector,
 )
-from robustnn.optimizer import (
-    OptimizerSpec,
-    Rule,
-    RpropState,
-    TrainStatus,
-    check_convergence,
-    step,
-    train,
-)
+from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, train
 
 
 def tiny_net(values=None):
@@ -29,13 +23,6 @@ def tiny_net(values=None):
     n = count_parameters(arch)[2]  # 4 parameters
     vec = np.zeros(n) if values is None else np.asarray(values, dtype=float)
     return network_from_vector(arch, vec)
-
-
-def grad_of(net, vec):
-    arch = net.architecture
-    g = network_from_vector(arch, np.asarray(vec, dtype=float))
-    return GradientSet(d_weights=[w.copy() for w in g.weights],
-                       d_intercepts=[b.copy() for b in g.intercepts])
 
 
 class TestOptimizerSpecValidation:
@@ -49,11 +36,17 @@ class TestOptimizerSpecValidation:
         with pytest.raises(ValueError):
             OptimizerSpec(delta0=100.0, delta_max=50.0)
 
+    @pytest.mark.parametrize("field", ["eta", "grad_threshold", "eta_minus", "eta_plus",
+                                       "delta0"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            OptimizerSpec(**{field: math.nan})
+
 
 class TestSignGdStep:
     def test_update_moves_against_gradient_sign(self):
         net = tiny_net([1.0, 0.0, 0.0, 0.0])
-        agg = grad_of(net, [0.3, 0.0, 0.0, 0.0])
+        agg = [0.3, 0.0, 0.0, 0.0]
         spec = OptimizerSpec(rule=Rule.SIGN_GD, eta=0.1)
         new_net, _ = step(spec, None, net, agg)
         assert param_vector(new_net)[0] == pytest.approx(0.9, abs=0.0)
@@ -61,7 +54,7 @@ class TestSignGdStep:
 
     def test_zero_gradient_leaves_network_unchanged(self):
         net = tiny_net([1.0, -2.0, 3.0, 0.5])
-        agg = grad_of(net, np.zeros(4))
+        agg = np.zeros(4)
         new_net, _ = step(OptimizerSpec(rule=Rule.SIGN_GD), None, net, agg)
         np.testing.assert_array_equal(param_vector(new_net), param_vector(net))
 
@@ -72,7 +65,7 @@ class TestRpropStep:
         state = RpropState.initial(4, spec)
         trail = []
         for g in grads:
-            net, state = step(spec, state, net, grad_of(net, g))
+            net, state = step(spec, state, net, g)
             trail.append((param_vector(net)[0], state.step_sizes[0],
                           state.prev_grad_signs[0]))
         return trail
@@ -94,7 +87,7 @@ class TestRpropStep:
         spec = OptimizerSpec(rule=Rule.RPROP_PLUS)
         net = tiny_net([0.2, 0.4, -0.8, 1.0])
         state = RpropState.initial(4, spec)
-        new_net, new_state = step(spec, state, net, grad_of(net, np.zeros(4)))
+        new_net, new_state = step(spec, state, net, np.zeros(4))
         np.testing.assert_array_equal(param_vector(new_net), param_vector(net))
         np.testing.assert_array_equal(new_state.step_sizes, state.step_sizes)
         np.testing.assert_array_equal(new_state.prev_grad_signs, state.prev_grad_signs)
@@ -106,27 +99,39 @@ class TestRpropStep:
         state = RpropState.initial(4, spec)
         for _ in range(400):
             g = rng.choice([-1.0, 1.0], size=4)
-            net, state = step(spec, state, net, grad_of(net, g))
+            net, state = step(spec, state, net, g)
             assert state.step_sizes.min() >= spec.delta_min
             assert state.step_sizes.max() <= spec.delta_max
 
 
 class TestCheckConvergence:
+    """train's own check: one epoch whose gradient grad_transform replaces
+    converges exactly when every entry is strictly below the threshold."""
+
+    @staticmethod
+    def converges(g, threshold=0.01):
+        X = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
+        out = train(tiny_net([0.1, -0.2, 0.3, 0.4]), (X, np.cos(X[:, 0])),
+                    L.LossSpec.squared(),
+                    OptimizerSpec(stepmax=1, grad_threshold=threshold),
+                    grad_transform=lambda _: np.array(g, dtype=float))
+        assert out.epochs_used == 1
+        assert out.status in (TrainStatus.CONVERGED, TrainStatus.STEP_LIMIT)
+        return out.status == TrainStatus.CONVERGED
+
     def test_all_zero_converges(self):
-        net = tiny_net()
-        assert check_convergence(grad_of(net, np.zeros(4)), 0.01)
+        assert self.converges(np.zeros(4))
 
     def test_strict_comparison(self):
-        net = tiny_net()
-        assert not check_convergence(grad_of(net, [0.011, 0.0, 0.0, 0.0]), 0.01)
-        assert not check_convergence(grad_of(net, [0.01, 0.0, 0.0, 0.0]), 0.01)
+        assert not self.converges([0.011, 0.0, 0.0, 0.0])
+        assert not self.converges([0.01, 0.0, 0.0, 0.0])
+        assert not self.converges([0.0, 0.0, 0.0, -0.01])
 
     def test_small_entries_converge(self):
         rng = np.random.default_rng(3)
-        net = tiny_net()
         for _ in range(20):
             g = rng.uniform(-0.009, 0.009, size=4)
-            assert check_convergence(grad_of(net, g), 0.01) == (np.abs(g).max() < 0.01)
+            assert self.converges(g) == (np.abs(g).max() < 0.01)
 
 
 def clean_lin_data(seed, n=150, p=5, standardize=True):
@@ -251,8 +256,7 @@ class TestBreakdownBehaviour:
 class TestStepAndAggregationAgree:
     def test_one_epoch_of_train_matches_per_instance_route(self):
         # dual-route check: the trainer's vectorized epoch gradient must act
-        # exactly like aggregate_gradients over backprop's per-instance sets
-        from robustnn.net import backprop, gradient_set_to_vector
+        # exactly like aggregate_gradients over backprop's per-instance rows
         arch = Architecture(4, (5, 3), Activation.LOGISTIC, Activation.IDENTITY)
         rng = np.random.default_rng(77)
         X = rng.standard_normal((12, 4))
@@ -267,7 +271,7 @@ class TestStepAndAggregationAgree:
             r = y - forward_batch(net, X).predictions
             delta = L.adaptive_huber_delta(r) if loss_spec.adaptive_huber else None
             per_losses = L.loss_value(loss_spec, r, delta)
-            grads = backprop(net, X, L.dloss_dprediction(loss_spec, r, delta))
-            agg = L.aggregate_gradients(grads, per_losses, loss_spec)
-            expected = param_vector(net) - 0.1 * np.sign(gradient_set_to_vector(agg))
+            grads = backprop(net, X, dloss_dprediction(loss_spec, r, delta))
+            agg = aggregate_gradients(grads, per_losses, loss_spec)
+            expected = param_vector(net) - 0.1 * np.sign(agg)
             np.testing.assert_array_equal(param_vector(out.final_net), expected)
