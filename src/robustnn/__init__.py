@@ -6,14 +6,23 @@ from .datagen import DataGenSpec, Dataset, Structure
 from .experiment import CellSummary, Depth, ExperimentConfig, RunRecord
 from .losses import LossKind, LossSpec
 from .net import Activation, Architecture, Network
-from .optimizer import OptimizerSpec, Rule, TrainOutcome, TrainStatus, train
+from .optimizer import (
+    OptimizerSpec,
+    Rule,
+    TrainJob,
+    TrainOutcome,
+    TrainStatus,
+    train,
+    train_slots,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "Architecture", "Network",
     "LossKind", "LossSpec",
-    "OptimizerSpec", "Rule", "TrainOutcome", "TrainStatus", "train",
+    "OptimizerSpec", "Rule", "TrainJob", "TrainOutcome", "TrainStatus", "train",
+    "train_slots",
     "ContaminationKind", "ContaminationSpec",
     "DataGenSpec", "Dataset", "Structure",
     "CellSummary", "Depth", "ExperimentConfig", "RunRecord",

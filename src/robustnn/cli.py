@@ -359,6 +359,8 @@ def read_summary_csv(path) -> list[dict]:
 def cmd_run(config_path, out_dir, parallelism: int = 1,
             seed_override: int | None = None) -> int:
     try:
+        if parallelism < 1:
+            raise ConfigError(f"--parallel must be at least 1, got {parallelism}")
         cfgs = parse_config(config_path)
         cfgs = _apply_seed_override(cfgs, seed_override)
     except ConfigError as exc:
@@ -383,8 +385,14 @@ def cmd_run(config_path, out_dir, parallelism: int = 1,
         return EXIT_IO
     n_runs = len(records)
     n_conv = sum(1 for rec in records if rec.converged)
-    print(f"{len(cfgs)} configurations, {n_runs} runs, {n_conv} converged; "
-          f"results in {out}")
+    # results.csv has no error column, so the error text goes to stderr
+    errors = [rec for rec in records if rec.status == exp.STATUS_ERROR]
+    if errors:
+        first = errors[0]
+        print(f"error: {len(errors)} of {n_runs} runs failed; the first, "
+              f"{first.config_id} rep {first.rep}: {first.error}", file=sys.stderr)
+    print(f"{len(cfgs)} configurations, {n_runs} runs, {n_conv} converged, "
+          f"{len(errors)} errors; results in {out}")
     return EXIT_OK
 
 

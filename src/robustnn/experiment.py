@@ -31,9 +31,11 @@ from .optimizer import (
     STEPMAX_DEEP,
     STEPMAX_SHALLOW,
     OptimizerSpec,
+    TrainJob,
     TrainOutcome,
     TrainStatus,
     train,
+    train_slots,
 )
 
 
@@ -47,10 +49,11 @@ DEPTH_STEPMAX = {Depth.SHALLOW: STEPMAX_SHALLOW, Depth.DEEP: STEPMAX_DEEP}
 
 STATUS_ERROR = "error"
 
-# tasks per worker round trip: about 64 chunks per worker, so pickling and
-# dispatch are amortised over many short runs while small sweeps still
-# spread one run at a time
-CHUNKS_PER_WORKER = 64
+# Same-shape queues per worker. Each queue is one pool task whose runs train
+# side by side and whose slots drain once, at its end; several queues per
+# worker let the pool even out the workers' loads, and small sweeps still
+# spread over every worker.
+QUEUES_PER_WORKER = 4
 
 
 class HeldOutSetModifiedError(RuntimeError):
@@ -275,62 +278,128 @@ def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
     )
 
 
+def _error_text(exc: Exception) -> str:
+    """A failed run's error text: the message of the failures run_single
+    records, the exception type and message of anything else."""
+    if isinstance(exc, (DegenerateStandardizationError, HeldOutSetModifiedError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _record(cfg: ExperimentConfig, rep: int, prep: PreparedRun,
+            outcome: TrainOutcome) -> RunRecord:
+    """The record of a trained run, with its test loss if it converged.
+
+    The test set bypasses contamination entirely, which is checked via a
+    byte hash; raises HeldOutSetModifiedError if it changed.
+    """
+    test_loss = None
+    if outcome.status == TrainStatus.CONVERGED:
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = predict(outcome.final_net, prep.test.X)
+            test_loss = float(np.mean((preds - prep.y_test) ** 2))
+
+    if _fingerprint(prep.test) != prep.test_fingerprint:
+        raise HeldOutSetModifiedError("test set was modified during the run")
+
+    return RunRecord(
+        **_record_base(cfg, rep),
+        converged=outcome.status == TrainStatus.CONVERGED,
+        status=outcome.status.value,
+        epochs=outcome.epochs_used,
+        test_loss=test_loss,
+        sup_weight_norm=outcome.sup_weight_norm,
+        breakdown=outcome.breakdown,
+    )
+
+
 def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """Run one replication of one configuration.
 
-    The test set bypasses contamination entirely, which is checked via a
-    byte hash; a run whose test set changed, or whose responses cannot be
+    A run whose test set changed, or whose responses cannot be
     standardized, is recorded as an error.
     """
     try:
         prep = prepare_run(cfg, rep)
-        outcome = train_run(cfg, prep)
-
-        test_loss = None
-        if outcome.status == TrainStatus.CONVERGED:
-            with np.errstate(over="ignore", invalid="ignore"):
-                preds = predict(outcome.final_net, prep.test.X)
-                test_loss = float(np.mean((preds - prep.y_test) ** 2))
-
-        if _fingerprint(prep.test) != prep.test_fingerprint:
-            raise HeldOutSetModifiedError("test set was modified during the run")
-
-        return RunRecord(
-            **_record_base(cfg, rep),
-            converged=outcome.status == TrainStatus.CONVERGED,
-            status=outcome.status.value,
-            epochs=outcome.epochs_used,
-            test_loss=test_loss,
-            sup_weight_norm=outcome.sup_weight_norm,
-            breakdown=outcome.breakdown,
-        )
+        return _record(cfg, rep, prep, train_run(cfg, prep))
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return _error_record(cfg, rep, str(exc))
 
 
-def _run_task(task: tuple[ExperimentConfig, int]) -> RunRecord:
-    cfg, rep = task
+def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
+    """Train a queue of same-shape (configuration, replication) tasks side
+    by side, preparing each run when a slot is free for it; one record per
+    task, each equal to run_single's record of it. A run that fails is
+    recorded as an error and the rest of the queue trains on."""
+    records: dict[int, RunRecord] = {}
+
+    def fail(i: int, exc: Exception) -> None:
+        cfg, rep = tasks[i]
+        records[i] = _error_record(cfg, rep, _error_text(exc))
+
+    def jobs():
+        for i, (cfg, rep) in enumerate(tasks):
+            try:
+                prep = prepare_run(cfg, rep)
+            except Exception as exc:
+                fail(i, exc)
+                continue
+            yield TrainJob(prep.net, prep.train, cfg.loss, cfg.diverge_norm,
+                           epoch_end_hook=prep.hook, tag=(i, prep))
+
     try:
-        return run_single(cfg, rep)
+        for job, outcome in train_slots(jobs(), tasks[0][0].resolved_optimizer()):
+            i, prep = job.tag
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                records[i] = _record(*tasks[i], prep, outcome)
+            except Exception as exc:
+                fail(i, exc)
     except Exception as exc:  # record, never abort the sweep
-        return _error_record(cfg, rep, f"{type(exc).__name__}: {exc}")
+        for i in range(len(tasks)):
+            if i not in records:
+                fail(i, exc)
+    return list(records.values())
+
+
+def _queues(tasks: list, parallelism: int) -> list[list]:
+    """The tasks split into queues of one shape: one architecture, training
+    set size and optimizer. With several workers, each shape's tasks are
+    dealt round robin into queues of about len(tasks) / (parallelism *
+    QUEUES_PER_WORKER) tasks, so the queues carry similar work."""
+    by_shape: dict[tuple, list] = {}
+    for task in tasks:
+        cfg = task[0]
+        key = (cfg.architecture(), cfg.data.n_train, cfg.resolved_optimizer())
+        by_shape.setdefault(key, []).append(task)
+    if parallelism == 1:
+        return list(by_shape.values())
+    size = math.ceil(len(tasks) / (parallelism * QUEUES_PER_WORKER))
+    queues = []
+    for group in by_shape.values():
+        k = math.ceil(len(group) / size)
+        queues += [group[i::k] for i in range(k)]
+    return queues
 
 
 def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRecord]:
     """Execute every (configuration, replication) pair.
 
-    The output is sorted by (config_id, rep), so the result is independent
-    of scheduling and of the degree of parallelism.
+    Runs of one shape train side by side (see _run_queue), each one's
+    record equal to run_single's. The output is sorted by (config_id, rep),
+    so the result is independent of scheduling and of the degree of
+    parallelism.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
-    if parallelism == 1 or len(tasks) <= 1:
-        records = [_run_task(t) for t in tasks]
+    queues = _queues(tasks, parallelism)
+    if parallelism == 1 or len(queues) <= 1:
+        records = [rec for queue in queues for rec in _run_queue(queue)]
     else:
-        chunksize = math.ceil(len(tasks) / (parallelism * CHUNKS_PER_WORKER))
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=chunksize))
+            records = [rec for recs in pool.map(_run_queue, queues) for rec in recs]
     records.sort(key=lambda rec: (rec.config_id, rec.rep))
     return records
 

@@ -84,17 +84,16 @@ def _median_kth(n: int) -> list[int]:
     return sorted({m, n - 1} if n % 2 else {m - 1, m, n - 1})
 
 
-def _floored_median(a: np.ndarray, kth) -> float:
-    """Median of a 1-D array, floored at HUBER_DELTA_FLOOR, reordering a in
-    place. Equal to np.median: the middle value or (a+b)/2 of the middle
-    pair, NaN if any value is NaN."""
-    a.partition(kth)
-    last = a[-1]
-    if last != last:
-        return float(last)
-    m = a.shape[0] // 2
-    median = a[m] if a.shape[0] % 2 else (a[m - 1] + a[m]) / 2
-    return max(float(median), HUBER_DELTA_FLOOR)
+def _floored_median(a: np.ndarray, kth) -> np.ndarray:
+    """Median of each row of a 2-D array, floored at HUBER_DELTA_FLOOR, as
+    a (rows, 1) column; reorders the rows in place. Equal to np.median of
+    each row: the middle value or (a+b)/2 of the middle pair, NaN if any
+    value of the row is NaN."""
+    a.partition(kth, axis=-1)
+    m = a.shape[-1] // 2
+    median = a[:, m:m + 1] if a.shape[-1] % 2 else (a[:, m - 1:m] + a[:, m:m + 1]) / 2
+    last = a[:, -1:]
+    return np.where(last != last, last, np.maximum(median, HUBER_DELTA_FLOOR))
 
 
 def adaptive_huber_delta(residuals) -> float:
@@ -102,7 +101,7 @@ def adaptive_huber_delta(residuals) -> float:
     r = np.asarray(residuals, dtype=np.float64)
     if r.size < 1:
         raise ValueError("need at least one residual")
-    return _floored_median(np.abs(r).ravel(), _median_kth(r.size))
+    return float(_floored_median(np.abs(r).reshape(1, -1), _median_kth(r.size))[0, 0])
 
 
 def _resolve_delta(spec: LossSpec, delta: float | None) -> float:
@@ -241,6 +240,23 @@ def _trim(keys: np.ndarray, h: int) -> tuple[np.ndarray, float]:
         keep[np.flatnonzero(nan)[: h - np.count_nonzero(keep)]] = True
     kept = keep.nonzero()[0]
     return kept, float(np.add.reduce(keys[kept]) / h)
+
+
+def _trim_rows(keys: np.ndarray, h: int) -> np.ndarray:
+    """_trim's kept indices for every row of a C-contiguous 2-D array, as a
+    (rows, h) array of positions in keys.ravel(): row j's index i is j*n + i.
+    One partition finds every row's h-th smallest key; if some row's
+    threshold is NaN, or some row ties at it, _trim selects row by row."""
+    part = keys.copy()
+    part.partition(h - 1, axis=-1)
+    threshold = part[:, h - 1:h]
+    flat = (keys <= threshold).ravel().nonzero()[0]
+    # with no NaN threshold every row keeps at least h keys, so h per row
+    # is exactly the total count; a NaN threshold makes the sum NaN
+    if flat.shape[0] == keys.shape[0] * h and not math.isnan(sum(threshold[:, 0].tolist())):
+        return flat.reshape(-1, h)
+    n = keys.shape[1]
+    return np.stack([_trim(row, h)[0] + j * n for j, row in enumerate(keys)])
 
 
 def trimmed_select(keys, alpha: float) -> TrimResult:

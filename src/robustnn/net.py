@@ -179,16 +179,18 @@ def param_vector(net: Network) -> np.ndarray:
 
 def _split(vec: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (weights, intercepts) views of a flat vector laid out as
-    param_vector lays it out, for the given layer sizes (input first)."""
+    param_vector lays it out, for the given layer sizes (input first). A
+    stack of vectors along leading axes gives stacked views."""
+    lead = vec.shape[:-1]
     intercepts = []
     weights = []
     off = 0
     for size in sizes[1:]:
-        intercepts.append(vec[off : off + size])
+        intercepts.append(vec[..., off : off + size])
         off += size
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         k = fan_in * fan_out
-        weights.append(vec[off : off + k].reshape(fan_out, fan_in))
+        weights.append(vec[..., off : off + k].reshape(*lead, fan_out, fan_in))
         off += k
     return weights, intercepts
 
@@ -197,11 +199,12 @@ def network_from_vector(arch: Architecture, vec: np.ndarray, copy: bool = True) 
     """Rebuild a Network from a flat parameter vector (inverse of param_vector).
 
     With copy=False the returned weights and intercepts are views of vec, so
-    writing into vec updates the network.
+    writing into vec updates the network. A (B, P) stack of vectors gives a
+    network whose arrays carry a leading slot axis of length B.
     """
     _, _, total = count_parameters(arch)
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (total,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != total:
         raise ValueError(f"expected parameter vector of length {total}, got {vec.shape}")
     if copy:
         vec = vec.copy()
@@ -217,8 +220,9 @@ def init_weights(arch: Architecture, rng: np.random.Generator) -> Network:
 
 def _forward_arrays(arch: Architecture, X: np.ndarray) -> tuple[list, list]:
     """Pre-activation arrays per weighted layer and activation arrays with
-    the input first; an identity layer's activation is its pre-activation."""
-    pre = [np.empty((X.shape[0], size)) for size in arch.layer_sizes[1:]]
+    the input first; an identity layer's activation is its pre-activation.
+    X is (n, p), or (B, n, p) for B runs side by side."""
+    pre = [np.empty((*X.shape[:-1], size)) for size in arch.layer_sizes[1:]]
     acts = [X] + [a if arch.activation_of(h) == Activation.IDENTITY else np.empty_like(a)
                   for h, a in enumerate(pre, start=1)]
     return pre, acts
@@ -226,10 +230,12 @@ def _forward_arrays(arch: Architecture, X: np.ndarray) -> tuple[list, list]:
 
 def _forward_steps(net: Network, pre, acts) -> list[tuple]:
     """Per weighted layer: (input, W^T, b, pre-activation, activation
-    kernel, activation), the arrays the forward pass reads and writes."""
+    kernel, activation), the arrays the forward pass reads and writes. The
+    intercepts get a row axis, so they broadcast over the rows of each run."""
     arch = net.architecture
     kernels = [_ACTIVATE[_kind(arch.activation_of(h))] for h in range(1, arch.n_layers + 1)]
-    return list(zip(acts, [w.T for w in net.weights], net.intercepts, pre, kernels, acts[1:]))
+    return list(zip(acts, [w.swapaxes(-1, -2) for w in net.weights],
+                    [b[..., None, :] for b in net.intercepts], pre, kernels, acts[1:]))
 
 
 def _run_forward(steps) -> None:
@@ -240,7 +246,7 @@ def _run_forward(steps) -> None:
         act(a, out)
 
 
-def _backward_steps(net: Network, pre, acts, deltas) -> list[tuple]:
+def _backward_steps(net: Network, pre, acts, deltas, scratch) -> list[tuple]:
     """Per weighted layer from the output back: (delta and W of the layer
     above, or None for the output layer, this layer's delta, derivative
     scaling, pre-activation, activation, scratch)."""
@@ -249,7 +255,7 @@ def _backward_steps(net: Network, pre, acts, deltas) -> list[tuple]:
     for h in range(arch.n_layers - 1, -1, -1):
         above = (deltas[h + 1], net.weights[h + 1]) if h + 1 < arch.n_layers else (None, None)
         scale = _SCALE_BY_DERIV[_kind(arch.activation_of(h + 1))]
-        steps.append((*above, deltas[h], scale, pre[h], acts[h + 1], np.empty_like(pre[h])))
+        steps.append((*above, deltas[h], scale, pre[h], acts[h + 1], scratch[h]))
     return steps
 
 
@@ -263,56 +269,95 @@ def _run_backward(steps) -> None:
         scale(d, a, z, tmp)
 
 
-def _gradient_sum(deltas, inputs, kept, d_weights, d_intercepts) -> int:
-    """Sum over rows, or over the kept rows, of the per-instance gradients
-    into the given per-layer arrays; returns the number of rows summed."""
-    if kept is not None:
-        deltas = [d[kept] for d in deltas]
-        inputs = [z[kept] for z in inputs]
-    for d, z, gw, gb in zip(deltas, inputs, d_weights, d_intercepts):
-        np.add.reduce(d, axis=0, out=gb)
-        np.matmul(d.T, z, out=gw)
-    return deltas[0].shape[0]
+def _sum_steps(deltas, inputs) -> list[tuple]:
+    """Per weighted layer: (delta, its transpose, layer input), the arrays
+    a gradient sum reads."""
+    return [(d, d.swapaxes(-1, -2), z) for d, z in zip(deltas, inputs)]
+
+
+def _kept_steps(deltas, inputs, kept) -> list[tuple]:
+    """_sum_steps over the kept rows: kept holds row indices into the
+    leading axis of deltas and inputs. For runs side by side these are
+    (B*n, width) row views and kept is (G, h), which gathers G runs' kept
+    rows into (G, h, width) stacks."""
+    return _sum_steps([d.take(kept, axis=0) for d in deltas],
+                      [z.take(kept, axis=0) for z in inputs])
+
+
+def _gradient_sum(steps, d_weights, d_intercepts) -> int:
+    """Sum over rows of the per-instance gradients into the given per-layer
+    arrays, each run's rows summed exactly as one run's are; returns the
+    number of rows summed."""
+    for (d, dt, z), gw, gb in zip(steps, d_weights, d_intercepts):
+        np.add.reduce(d, axis=-2, out=gb)
+        np.matmul(dt, z, out=gw)
+    return steps[0][0].shape[-2]
 
 
 class BatchKernel:
-    """Forward pass, error terms and gradient sums of one network over a
-    fixed input matrix, computed into arrays allocated once.
+    """Forward pass, error terms and gradient sums of B networks of one
+    architecture side by side, each over its own input matrix, computed
+    into (B, n, width) arrays allocated once.
 
-    The kernel keeps references to the network's weight and intercept
-    arrays, so a network whose arrays are views of a flat parameter buffer
-    can be moved in place between passes. train runs every epoch through one
-    kernel; forward_batch, batch_deltas and mean_gradient_vector run the same
+    net's weights and intercepts carry a leading slot axis of length B, as
+    network_from_vector gives them for a (B, P) parameter buffer, and X is a
+    C-contiguous (B, n, p) array. The kernel keeps references to these arrays, so the caller
+    can move the parameters in place and write a new run's inputs into a
+    slot between passes. Every pass runs on the first `live` slots only,
+    with one stacked np.matmul per layer, whose slices are the matrix
+    products of one run. train_slots runs every epoch through one kernel;
+    forward_batch, batch_deltas and mean_gradient_vector run the same
     passes once on arrays of their own.
 
-    output_error is a view of the output layer's delta: write dL/dyhat into
-    it before backward().
+    predictions and output_error are (live, n) views of the output layer's
+    activation and delta: write dL/dyhat into output_error before
+    backward().
     """
 
     def __init__(self, net: Network, X: np.ndarray):
+        self.net, self.X = net, X
         self.pre, self.acts = _forward_arrays(net.architecture, X)
         self.deltas = [np.empty_like(a) for a in self.pre]
-        self.predictions = self.acts[-1][:, 0]
-        self.output_error = self.deltas[-1][:, 0]
-        self._forward = _forward_steps(net, self.pre, self.acts)
-        self._backward = _backward_steps(net, self.pre, self.acts, self.deltas)
-        self._inputs = self.acts[:-1]
+        self._scratch = [np.empty_like(a) for a in self.pre]
+        self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
+        self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
+        self.set_live(X.shape[0])
+
+    def set_live(self, live: int) -> None:
+        """Restrict every pass to slots [:live]."""
+        def head(arrays):
+            return [a[:live] for a in arrays]
+
+        net = Network(head(self.net.weights), head(self.net.intercepts),
+                      self.net.architecture)
+        pre, acts, deltas = head(self.pre), head(self.acts), head(self.deltas)
+        self.predictions = acts[-1][..., 0]
+        self.output_error = deltas[-1][..., 0]
+        self._forward = _forward_steps(net, pre, acts)
+        self._backward = _backward_steps(net, pre, acts, deltas, head(self._scratch))
+        self._deltas = deltas
+        self._sums = _sum_steps(deltas, acts[:-1])
 
     def forward(self) -> np.ndarray:
-        """Run the forward pass; returns the predictions, a view of the
-        output activations."""
+        """Run the forward pass; returns the predictions."""
         _run_forward(self._forward)
         return self.predictions
 
     def backward(self) -> list[np.ndarray]:
         """Turn dL/dyhat in output_error into the error terms of every layer."""
         _run_backward(self._backward)
-        return self.deltas
+        return self._deltas
 
     def gradient_sum(self, d_weights, d_intercepts, kept=None) -> int:
-        """Sum of per-instance gradients over all rows, or the kept ones,
-        into the given per-layer arrays; returns the row count."""
-        return _gradient_sum(self.deltas, self._inputs, kept, d_weights, d_intercepts)
+        """Per live slot, the sum of per-instance gradients over all rows
+        into the given (live, ...) per-layer arrays; returns the row count.
+
+        kept, a (G, h) array of rows b*n + i (row i of slot b), sums G
+        slots' kept rows instead, into (G, ...) arrays.
+        """
+        steps = (self._sums if kept is None
+                 else _kept_steps(self._delta_rows, self._input_rows, kept))
+        return _gradient_sum(steps, d_weights, d_intercepts)
 
 
 def forward_batch(net: Network, X) -> BatchTrace:
@@ -343,7 +388,8 @@ def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarra
     deltas = [np.empty_like(a) for a in pre]
     np.copyto(deltas[-1], np.asarray(dloss_dpred, dtype=np.float64).reshape(-1, 1))
     with np.errstate(over="ignore"):
-        _run_backward(_backward_steps(net, pre, acts, deltas))
+        _run_backward(_backward_steps(net, pre, acts, deltas,
+                                      [np.empty_like(a) for a in pre]))
     return deltas
 
 
@@ -352,10 +398,14 @@ def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None)
 
     kept selects a row subset (trimmed aggregation); None averages all rows.
     """
+    if kept is not None:
+        kept = np.arange(trace.activations[0].shape[0])[kept]
     sizes = (trace.activations[0].shape[1], *(d.shape[1] for d in deltas))
     flat = np.empty(sum(sizes[1:]) + sum(a * b for a, b in zip(sizes, sizes[1:])))
     weights, intercepts = _split(flat, sizes)
-    n = _gradient_sum(deltas, trace.activations[:-1], kept, weights, intercepts)
+    inputs = trace.activations[:-1]
+    steps = _sum_steps(deltas, inputs) if kept is None else _kept_steps(deltas, inputs, kept)
+    n = _gradient_sum(steps, weights, intercepts)
     return np.divide(flat, n, out=flat)
 
 

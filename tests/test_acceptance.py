@@ -44,7 +44,7 @@ from robustnn.net import (
     network_from_vector,
     param_vector,
 )
-from robustnn.optimizer import OptimizerSpec, Rule, train
+from robustnn.optimizer import OptimizerSpec, Rule, TrainJob, train, train_slots
 
 
 @contextmanager
@@ -165,17 +165,25 @@ def test_c02_parameter_count_table():
         assert count_parameters(deep50)[2] == 531
 
 
+def breakdown_runs(loss):
+    """Criteria 3 and 4: the five seeds' runs with one wild response under
+    the sign rule, trained side by side in one slot-batched call; returns
+    (initial norm, outcome) per seed."""
+    spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=100_000, grad_threshold=0.01)
+    jobs = []
+    for seed in range(5):
+        X, y = breakdown_data(1000 + seed)
+        net = init_weights(SHALLOW, np.random.default_rng(2000 + seed))
+        jobs.append(TrainJob(net, (X, y), loss, diverge_norm=1e8, tag=seed))
+    ended = {job.tag: (float(np.linalg.norm(param_vector(job.net))), outcome)
+             for job, outcome in train_slots(jobs, spec, slots=len(jobs))}
+    return [ended[seed] for seed in range(5)]
+
+
 def test_c03_breakdown_of_unprotected_training():
     with criterion("criterion 3 (single-outlier breakdown, sign rule + squared)"):
         t0 = time.perf_counter()
-        spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=100_000,
-                             grad_threshold=0.01)
-        for seed in range(5):
-            X, y = breakdown_data(1000 + seed)
-            net = init_weights(SHALLOW, np.random.default_rng(2000 + seed))
-            n0 = float(np.linalg.norm(param_vector(net)))
-            out = train(net, (X, y), L.LossSpec.squared(), spec,
-                        diverge_norm=1e8)
+        for seed, (n0, out) in enumerate(breakdown_runs(L.LossSpec.squared())):
             assert out.sup_weight_norm >= 1000 * n0, \
                 f"seed {seed}: ratio {out.sup_weight_norm / n0:.1f}"
         elapsed = time.perf_counter() - t0
@@ -184,14 +192,7 @@ def test_c03_breakdown_of_unprotected_training():
 
 def test_c04_half_trimming_protects_against_the_same_outlier():
     with criterion("criterion 4 (half trimming keeps the norm bounded)"):
-        spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=100_000,
-                             grad_threshold=0.01)
-        for seed in range(5):
-            X, y = breakdown_data(1000 + seed)
-            net = init_weights(SHALLOW, np.random.default_rng(2000 + seed))
-            n0 = float(np.linalg.norm(param_vector(net)))
-            out = train(net, (X, y), L.LossSpec.trimmed(0.5), spec,
-                        diverge_norm=1e8)
+        for seed, (n0, out) in enumerate(breakdown_runs(L.LossSpec.trimmed(0.5))):
             assert out.sup_weight_norm < 10 * n0, \
                 f"seed {seed}: ratio {out.sup_weight_norm / n0:.1f}"
             assert not out.breakdown

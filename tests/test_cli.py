@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from robustnn import cli
+from robustnn import experiment as exp
 from robustnn.experiment import RunRecord, run_single, run_sweep
 
 
@@ -201,6 +202,52 @@ class TestCmdRun:
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         assert cli.cmd_run(cfg, blocker / "sub") == 3
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallelism_below_one_is_a_config_error(self, tmp_path, capsys, parallel):
+        cfg = write_config(tmp_path, base_doc())
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--parallel", parallel]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --parallel must be at least 1, got {parallel}\n"
+        assert not out.exists()
+
+    def test_a_run_that_fails_to_prepare_is_reported(self, tmp_path, capsys, monkeypatch):
+        # six same-shape runs (three losses, two reps) train as one queue;
+        # one of them fails to prepare and the rest train on
+        doc = base_doc(losses=["squared", "huber", "trim25"],
+                       contamination={"kind": "y-convex", "r": 0.2, "mu_out": 10})
+        cfg = write_config(tmp_path, doc)
+        assert cli.cmd_run(cfg, tmp_path / "clean") == 0
+        assert capsys.readouterr().out.startswith("3 configurations, 6 runs, ")
+
+        prepare = exp.prepare_run
+
+        def failing(config, rep):
+            if config.config_id.endswith("_huber") and rep == 1:
+                raise RuntimeError("no data for this run")
+            return prepare(config, rep)
+
+        monkeypatch.setattr(exp, "prepare_run", failing)
+        assert cli.cmd_run(cfg, tmp_path / "failed") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith(
+            "3 configurations, 6 runs, ") and ", 1 errors; results in " in captured.out
+        assert re.fullmatch(r"error: 1 of 6 runs failed; the first, \S+_huber rep 1: "
+                            r"RuntimeError: no data for this run\n", captured.err)
+
+        clean = (tmp_path / "clean" / "results.csv").read_text().splitlines()
+        failed = (tmp_path / "failed" / "results.csv").read_text().splitlines()
+        assert len(clean) == len(failed) == 7
+        header = failed[0].split(",")
+        for before, after in zip(clean, failed):
+            row = dict(zip(header, after.split(",")))
+            if row.get("loss") == "huber" and row["rep"] == "1":
+                assert row["status"] == "error" and row["epochs"] == "0"
+                assert row["converged"] == "false" and row["sup_weight_norm"] == "NaN"
+                assert after.split(",")[:13] == before.split(",")[:13]
+            else:
+                assert after == before
 
     def test_seed_env_override_changes_results(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, base_doc())

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracle import RpropState, aggregate_gradients, backprop, dloss_dprediction, step
 from robustnn import losses as L
@@ -15,7 +19,7 @@ from robustnn.net import (
     network_from_vector,
     param_vector,
 )
-from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, train
+from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, _in_place_update, train
 
 
 def tiny_net(values=None):
@@ -275,3 +279,81 @@ class TestStepAndAggregationAgree:
             agg = aggregate_gradients(grads, per_losses, loss_spec)
             expected = param_vector(net) - 0.1 * np.sign(agg)
             np.testing.assert_array_equal(param_vector(out.final_net), expected)
+
+
+class TestStackedRpropProperties:
+    """Rprop+ and sign-GD on a (B, P) stack of parameter rows, the way the
+    slot trainer moves B runs at once (Riedmiller & Braun 1993; Igel &
+    Hüsken 2000)."""
+
+    # dyadic step sizes and parameters keep every sum exact, so "reverts
+    # exactly" can be checked as equality with the parameters of before
+    DYADIC = OptimizerSpec(rule=Rule.RPROP_PLUS, delta0=0.125, eta_plus=2.0,
+                           eta_minus=0.5, delta_min=2.0 ** -6, delta_max=2.0)
+
+    @staticmethod
+    def stacks(max_rows=4, max_cols=6, max_steps=8):
+        """(params, gradients): a (B, P) start and a sequence of (B, P)
+        gradients whose signs repeat and flip often, zeros included."""
+        def build(shape):
+            b, p, k = shape
+            params = hnp.arrays(np.float64, (b, p),
+                                elements=st.integers(-512, 512).map(lambda i: i / 64.0))
+            grads = hnp.arrays(np.float64, (k, b, p),
+                               elements=st.sampled_from([-2.0, -1e-3, 0.0, 1e-3, 3.0]))
+            return st.tuples(params, grads)
+        return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols),
+                         st.integers(1, max_steps)).flatmap(build)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks(), rule=st.sampled_from(list(Rule)))
+    def test_each_row_moves_as_one_run_moves(self, case, rule):
+        params, grads = case
+        spec = dataclasses.replace(self.DYADIC, rule=rule)
+        stacked = params.copy()
+        update = _in_place_update(spec, stacked.shape)
+        rows = [params[b].copy() for b in range(params.shape[0])]
+        row_updates = [_in_place_update(spec, params.shape[1]) for _ in rows]
+        for g in grads:
+            update(stacked, g)
+            for b, (row, row_update) in enumerate(zip(rows, row_updates)):
+                row_update(row, g[b].copy())
+                assert stacked[b].tobytes() == row.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks(), spec=st.sampled_from([
+        DYADIC, OptimizerSpec(), OptimizerSpec(delta0=1e-6, delta_min=1e-6, delta_max=1e-3)]))
+    def test_step_sizes_stay_within_limits(self, case, spec):
+        params, grads = case
+        steps = np.full(params.shape, spec.delta0)
+        signs = np.zeros(params.shape)
+        update = _in_place_update(spec, params.shape, steps, signs)
+        for g in np.concatenate([grads] * 6):
+            update(params, g)
+            assert steps.min() >= spec.delta_min
+            assert steps.max() <= spec.delta_max
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=stacks())
+    def test_a_sign_flip_reverts_the_previous_move(self, case):
+        params, grads = case
+        spec = self.DYADIC
+        steps = np.full(params.shape, spec.delta0)
+        signs = np.zeros(params.shape)
+        update = _in_place_update(spec, params.shape, steps, signs)
+        before = params.copy()
+        for g in grads:
+            previous, prev_steps, prev_signs = before, steps.copy(), signs.copy()
+            before = params.copy()
+            update(params, g)
+            flipped = np.sign(g) * prev_signs < 0
+            # back to where the parameter stood before its previous move
+            np.testing.assert_array_equal(params[flipped], previous[flipped])
+            np.testing.assert_array_equal(signs[flipped], 0.0)
+            np.testing.assert_array_equal(
+                steps[flipped], np.maximum(prev_steps[flipped] * spec.eta_minus,
+                                           spec.delta_min))
+            # every other parameter moves by its step against the gradient sign
+            kept = ~flipped
+            np.testing.assert_array_equal(
+                params[kept], before[kept] - np.sign(g[kept]) * steps[kept])

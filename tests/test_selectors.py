@@ -68,3 +68,42 @@ def test_adaptive_huber_delta_equals_floored_np_median(r):
         got = L.adaptive_huber_delta(r)
     assert same_bits(got, expected) or (math.isnan(got) and math.isnan(expected))
 
+
+
+def float_rows(max_rows, max_cols):
+    """2-D arrays of the kinds above: ties, NaN and infinities per row."""
+    shapes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    return shapes.flatmap(lambda shape: st.one_of(
+        hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)),
+        hnp.arrays(np.float64, shape, elements=st.sampled_from(TIE_POOL)),
+        hnp.arrays(np.float64, shape, elements=st.integers(-3, 3).map(float)),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=float_rows(5, 40), alpha=alphas)
+@example(keys=np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 1.0]]), alpha=0.5)
+@example(keys=np.array([[np.nan, 1.0, 0.0, 2.0], [1.0, 1.0, 0.0, 0.0]]), alpha=0.25)
+# a NaN threshold in one row and surplus ties in the other add up to h per row
+@example(keys=np.array([[np.nan, np.nan, np.nan, 1.0], [1.0, 1.0, 1.0, 1.0]]), alpha=0.5)
+def test_row_wise_trim_selects_what_trimmed_select_selects(keys, alpha):
+    # the slot trainer selects the kept rows of several runs at once
+    h = L.trim_count(keys.shape[1], alpha)
+    n = keys.shape[1]
+    with np.errstate(all="ignore"):
+        got = L._trim_rows(keys, h)
+        for j, row in enumerate(keys):
+            want = L.trimmed_select(row, alpha).kept_indices
+            np.testing.assert_array_equal(got[j], want + j * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=float_rows(5, 41))
+@example(r=np.array([[1.0, np.nan, 3.0], [1.0, 2.0, 3.0]]))
+def test_row_wise_median_equals_floored_np_median(r):
+    with np.errstate(all="ignore"):
+        got = L._floored_median(np.abs(r), L._median_kth(r.shape[1]))
+        for j, row in enumerate(r):
+            expected = max(float(np.median(np.abs(row))), L.HUBER_DELTA_FLOOR)
+            assert same_bits(got[j, 0], expected) or (math.isnan(got[j, 0])
+                                                     and math.isnan(expected))

@@ -1,0 +1,276 @@
+"""train_slots against train: runs trained side by side, with slots
+refilled as runs end and drained at the end, must each come out bit for bit
+as train gives them alone. run_sweep, which trains its queues through
+train_slots, must give run_single's records."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from robustnn import experiment as E
+from robustnn import losses as L
+from robustnn.contamination import (
+    ContaminationKind,
+    ContaminationSpec,
+    apply_contamination,
+    make_iterative_attack_hook,
+)
+from robustnn.datagen import DataGenSpec, Structure, generate_dataset
+from robustnn.net import Activation, Architecture, init_weights, param_vector
+from robustnn.optimizer import (
+    OptimizerSpec,
+    Rule,
+    TrainJob,
+    TrainOutcome,
+    TrainStatus,
+    train,
+    train_slots,
+)
+
+STUDY_LOSSES = [L.LossSpec.squared(), L.LossSpec.huber(), L.LossSpec.tukey(),
+                L.LossSpec.trimmed(0.1), L.LossSpec.trimmed(0.25), L.LossSpec.trimmed(0.5),
+                L.LossSpec.huber(0.5)]
+DEPTHS = {"shallow": (10, 10), "deep": (5,) * 10}
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_same_outcome(got, want):
+    assert isinstance(got, TrainOutcome), got
+    assert got.status == want.status
+    assert got.epochs_used == want.epochs_used
+    assert bits(got.sup_weight_norm) == bits(want.sup_weight_norm)
+    assert got.breakdown == want.breakdown
+    if want.norm_history is None:
+        assert got.norm_history is None
+    else:
+        assert bits(got.norm_history) == bits(want.norm_history)
+    assert bits(param_vector(got.final_net)) == bits(param_vector(want.final_net))
+    assert got.final_net.architecture == want.final_net.architecture
+
+
+def blow_up_at(epoch_of_blow_up):
+    """A hook that makes every response overflow the loss from the next epoch."""
+    def hook(epoch, predictions, losses, y):
+        return np.full_like(y, 1e200) if epoch == epoch_of_blow_up else None
+    return hook
+
+
+def scale_gradient(g):
+    g *= 3.7
+    return g
+
+
+def make_jobs(arch, rng, count, n=60):
+    """count runs of one shape with mixed losses, data, starting points and
+    callbacks: attacked runs, runs that diverge at epoch 1 or mid-run,
+    norm recording and a gradient transform. Every job carries a factory
+    for fresh callbacks in its tag, so train can replay it alone."""
+    jobs = []
+    for i in range(count):
+        spec = DataGenSpec(p=arch.input_dim, n_train=n, n_test=10, structure=Structure.LIN)
+        seed = int(rng.integers(1 << 30))
+        train_ds, _ = generate_dataset(spec, np.random.default_rng(seed))
+        cont = ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.25, mu_out=100.0)
+        data = apply_contamination(train_ds, cont, np.random.default_rng(seed + 1))
+        y = (data.Y - data.Y.min()) / (data.Y.max() - data.Y.min())
+        kind = i % 6
+        if kind == 1:
+            y = np.full(n, 1e200)           # diverges at epoch 1
+
+        def callbacks(kind=kind, seed=seed):
+            if kind == 2:
+                _, hook = make_iterative_attack_hook(n, np.random.default_rng(seed + 2), eps=1.0)
+                return dict(epoch_end_hook=hook, record_norms=True)
+            if kind == 3:
+                return dict(epoch_end_hook=blow_up_at(int(seed % 20) + 2))
+            if kind == 4:
+                return dict(grad_transform=scale_gradient, record_norms=True)
+            return {}
+
+        net = init_weights(arch, np.random.default_rng(seed + 3))
+        loss = STUDY_LOSSES[int(rng.integers(len(STUDY_LOSSES)))]
+        if kind in (1, 3):
+            # losses that overflow on huge residuals, so these runs diverge
+            loss = STUDY_LOSSES[(0, 5)[i % 2]]
+        jobs.append(TrainJob(net, (data.X, y), loss, tag=(i, callbacks), **callbacks()))
+    return jobs
+
+
+def recorded(kwargs, calls):
+    """The callbacks with their hook wrapped to record every call's epoch
+    and the bytes of the arrays it was given."""
+    hook = kwargs.get("epoch_end_hook")
+    if hook is None:
+        return kwargs
+
+    def recording(epoch, predictions, losses, y):
+        calls.append((epoch, bits(predictions), bits(losses), bits(y)))
+        return hook(epoch, predictions, losses, y)
+
+    return {**kwargs, "epoch_end_hook": recording}
+
+
+def check_against_train(jobs, spec, slots):
+    """Each job's outcome, and every call of its hook, as train alone gives them."""
+    calls = {job.tag[0]: [] for job in jobs}
+    jobs = [dataclasses.replace(job, **recorded(job.tag[1](), calls[job.tag[0]]))
+            for job in jobs]
+    outcomes = {}
+    for job, outcome in train_slots(jobs, spec, slots=slots):
+        assert job.tag[0] not in outcomes
+        outcomes[job.tag[0]] = outcome
+    assert sorted(outcomes) == [job.tag[0] for job in jobs]
+    for job in jobs:
+        alone = []
+        want = train(job.net, job.data, job.loss, spec, job.diverge_norm,
+                     **recorded(job.tag[1](), alone))
+        assert_same_outcome(outcomes[job.tag[0]], want)
+        assert calls[job.tag[0]] == alone
+        # the hook ends every epoch the run completes, and no later one
+        if job.epoch_end_hook is not None:
+            last = want.epochs_used - (want.status != TrainStatus.STEP_LIMIT)
+            assert [call[0] for call in alone] == list(range(1, last + 1))
+    return outcomes
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("activation", [Activation.LOGISTIC, Activation.SOFTPLUS])
+@pytest.mark.parametrize("rule", Rule)
+def test_slots_match_train_run_by_run(rule, activation, depth):
+    rng = np.random.default_rng(sum(map(ord, rule.value + activation.value + depth)))
+    arch = Architecture(4, DEPTHS[depth], activation, Activation.IDENTITY)
+    jobs = make_jobs(arch, rng, count=14 if depth == "shallow" else 8)
+    spec = OptimizerSpec(rule=rule, stepmax=120 if depth == "shallow" else 60,
+                         grad_threshold=0.02)
+    outcomes = check_against_train(jobs, spec, slots=4)
+    statuses = {o.status for o in outcomes.values()}
+    assert TrainStatus.DIVERGED in statuses
+    # runs of different lengths, so slots were refilled while others trained
+    assert len({o.epochs_used for o in outcomes.values()}) > 2
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 6, 20])
+def test_slot_count_does_not_change_outcomes(slots):
+    arch = Architecture(3, (6, 4), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(slots), count=12, n=30)
+    check_against_train(jobs, OptimizerSpec(stepmax=200), slots=slots)
+
+
+def test_every_study_loss_side_by_side():
+    # the six study losses and fixed Huber, all in the slots at once
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(5), count=len(STUDY_LOSSES))
+    jobs = [dataclasses.replace(job, loss=loss) for job, loss in zip(jobs, STUDY_LOSSES)]
+    check_against_train(jobs, OptimizerSpec(stepmax=150), slots=len(jobs))
+
+
+def test_rejected_jobs_are_yielded_and_the_rest_train_on():
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(9), count=5)
+    other_shape = TrainJob(init_weights(Architecture(4, (3,)), np.random.default_rng(1)),
+                           jobs[0].data, L.LossSpec.squared(), tag=(5, dict))
+    too_low = dataclasses.replace(jobs[1], diverge_norm=1.0, tag=(6, dict))
+    spec = OptimizerSpec(stepmax=100)
+    results = {job.tag[0]: out for job, out in train_slots(
+        [too_low, *jobs[:3], other_shape, *jobs[3:]], spec, slots=2)}
+    assert str(results.pop(5)) == "run shape differs from the shape of the other runs"
+    assert str(results.pop(6)) == "diverge_norm must exceed the initial weight norm"
+    for job in jobs:
+        assert_same_outcome(results[job.tag[0]], train(job.net, job.data, job.loss, spec,
+                                                       **job.tag[1]()))
+
+
+def test_a_failing_callback_ends_only_its_own_run():
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(13), count=4)
+
+    def boom(epoch, predictions, losses, y):
+        if epoch == 3:
+            raise RuntimeError("hook failed")
+
+    jobs[0] = dataclasses.replace(jobs[0], epoch_end_hook=boom, record_norms=False)
+    spec = OptimizerSpec(stepmax=100)
+    results = {job.tag[0]: out for job, out in train_slots(jobs, spec, slots=4)}
+    assert isinstance(results[0], RuntimeError)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        train(jobs[0].net, jobs[0].data, jobs[0].loss, spec, epoch_end_hook=boom)
+    for job in jobs[1:]:
+        assert_same_outcome(results[job.tag[0]], train(job.net, job.data, job.loss, spec,
+                                                       **job.tag[1]()))
+
+
+def test_jobs_are_drawn_only_when_a_slot_is_free():
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(17), count=9)
+    drawn = []
+
+    def source():
+        for job in jobs:
+            drawn.append(job.tag[0])
+            yield job
+
+    in_flight = []
+    for job, _ in train_slots(source(), OptimizerSpec(stepmax=80), slots=3):
+        in_flight.append(len(drawn) - len(in_flight))
+    assert max(in_flight) <= 3
+
+
+def sweep_configs():
+    data = DataGenSpec(p=3, n_train=40, n_test=16, structure=Structure.LIN)
+    cfgs = []
+    for kind, r in ((ContaminationKind.Y_CONVEX, 0.25), (ContaminationKind.Y_ITERATIVE, 0.5)):
+        for activation in (Activation.LOGISTIC, Activation.SOFTPLUS):
+            for loss in STUDY_LOSSES[:6]:
+                cfgs.append(E.ExperimentConfig(
+                    data=data, contamination=ContaminationSpec(kind, r=r, mu_out=10.0),
+                    activation=activation, loss=loss, standardize=True,
+                    depth=E.Depth.SHALLOW, replications=3, base_seed=5,
+                    optimizer=OptimizerSpec(stepmax=300)))
+    # a shape of its own whose runs cannot be standardized
+    cfgs.append(dataclasses.replace(cfgs[0], data=dataclasses.replace(data, n_train=1)))
+    return cfgs
+
+
+def fields(rec):
+    """A record's fields, with NaN made comparable."""
+    return {k: "NaN" if isinstance(v, float) and v != v else v
+            for k, v in dataclasses.asdict(rec).items()}
+
+
+def reference_record(cfg, rep):
+    """run_single's record, or the error record of what it raises."""
+    try:
+        return E.run_single(cfg, rep)
+    except Exception as exc:
+        return E._error_record(cfg, rep, f"{type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_sweep_equals_run_single(parallelism):
+    cfgs = sweep_configs()
+    want = [reference_record(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    want.sort(key=lambda rec: (rec.config_id, rec.rep))
+    got = E.run_sweep(cfgs, parallelism=parallelism)
+    assert [fields(rec) for rec in got] == [fields(rec) for rec in want]
+    assert sum(rec.status == E.STATUS_ERROR for rec in got) == 3
+
+
+def test_queues_hold_one_shape_and_spread_over_the_workers():
+    cfgs = sweep_configs()
+    tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    for parallelism in (1, 2, 3):
+        queues = E._queues(tasks, parallelism)
+        assert sorted(map(id, (t for q in queues for t in q))) == sorted(map(id, tasks))
+        for queue in queues:
+            shapes = {(c.architecture(), c.data.n_train, c.resolved_optimizer())
+                      for c, _ in queue}
+            assert len(shapes) == 1
+        assert len(queues) >= (3 if parallelism == 1 else parallelism)
+    # twelve runs of two shapes, as in the capped wide sweep, still fill two workers
+    wide = [dataclasses.replace(cfg, replications=1) for cfg in cfgs[:12]]
+    small = [(cfg, 0) for cfg in wide]
+    assert len(E._queues(small, 2)) >= 4
