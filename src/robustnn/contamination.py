@@ -124,15 +124,20 @@ def iterative_attacker_step(predictions, current_losses, attacked_indices,
     if eps <= 0:
         raise ValueError("eps must be positive")
     predictions = np.asarray(predictions, dtype=np.float64)
-    current_losses = np.asarray(current_losses, dtype=np.float64)
-    n = current_losses.shape[0]
     attacked = np.asarray(sorted(attacked_indices), dtype=np.intp)
-    # (n/2+1)-th order statistic, 1-based: index n//2 after sorting
-    bound = float(np.sort(current_losses)[n // 2])
+    return predictions[attacked] + _attack_offset(current_losses, eps)
+
+
+def _attack_offset(current_losses, eps: float) -> float:
+    """The attacker's offset above the prediction for one epoch's losses."""
+    current_losses = np.asarray(current_losses, dtype=np.float64)
+    k = current_losses.shape[0] // 2
+    # (n/2+1)-th order statistic, 1-based: index n//2 in sorted order
+    bound = float(np.partition(current_losses, k)[k])
     offset = min(eps, 0.99 * math.sqrt(max(bound, 0.0)))
     if offset <= 0.0:
         offset = ATTACK_OFFSET_FLOOR
-    return predictions[attacked] + offset
+    return offset
 
 
 def choose_attacked_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,10 +150,13 @@ def make_iterative_attack_hook(n: int, rng: np.random.Generator, eps: float):
     attacker; returns (attacked_indices, hook)."""
     attacked = choose_attacked_indices(n, rng)
 
+    # iterative_attacker_step without sorting the indices, which are sorted
     def hook(epoch, predictions, per_instance_losses, y):
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         new_y = y.copy()
-        new_y[attacked] = iterative_attacker_step(
-            predictions, per_instance_losses, attacked, eps)
+        predictions = np.asarray(predictions, dtype=np.float64)
+        new_y[attacked] = predictions[attacked] + _attack_offset(per_instance_losses, eps)
         return new_y
 
     return attacked, hook

@@ -178,33 +178,74 @@ class RunRecord:
         return self.test_loss is not None and math.isfinite(self.test_loss)
 
 
-def _init_seed(cfg: ExperimentConfig, rep: int) -> int:
-    return derive_seed("init", cfg.base_seed, cfg.config_id, rep)
-
-
 def _fingerprint(data: Dataset) -> str:
     return hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest()
 
 
+class _Config:
+    """A configuration and what it fixes for every run of it, computed once:
+    its id, architecture and record fields."""
+
+    __slots__ = ("cfg", "config_id", "architecture", "fields")
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.config_id = cfg.config_id
+        self.architecture = cfg.architecture()
+        c = cfg.contamination
+        self.fields = dict(
+            config_id=self.config_id,
+            structure=cfg.data.structure.value,
+            n=cfg.data.n_train,
+            p=cfg.data.p,
+            activation=cfg.activation.value,
+            depth=cfg.depth.value,
+            standardized=cfg.standardize,
+            cont_kind=c.kind.value,
+            r=c.r,
+            mu_out=c.mu_out,
+            loss=loss_token(cfg.loss),
+        )
+
+    def init_seed(self, rep: int) -> int:
+        return derive_seed("init", self.cfg.base_seed, self.config_id, rep)
+
+
 @dataclass
-class PreparedRun:
-    """Everything one replication trains on and is evaluated against."""
+class PreparedScenario:
+    """Everything one replication of a scenario trains on and is evaluated
+    against, the same for each of the scenario's losses. Runs that share it
+    only read it: train copies the training set into buffers of its own,
+    the attacker's hook returns new responses, and the training arrays and
+    attacked rows are marked read-only. The test set is checked against its
+    fingerprint after every run."""
 
     train: Dataset          # contaminated; responses standardized if configured
     test: Dataset           # never contaminated, raw responses
     y_test: np.ndarray      # test responses on the training responses' scale
     test_fingerprint: str   # hash of test when prepared
+    attacked: np.ndarray | None  # the adaptive attacker's rows, or None
     hook: object            # the adaptive attacker's epoch_end_hook, or None
+
+
+@dataclass
+class PreparedRun:
+    """One replication of one configuration, ready to train."""
+
+    config: _Config
+    rep: int
+    seed: int               # the network initialization's seed
+    scenario: PreparedScenario
     net: Network            # initial network
 
 
-def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
-    """Build the data, contamination, standardizer, attacker and initial
-    network of one replication.
+def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
+    """Build the data, contamination, standardizer and attacker of one
+    replication of cfg's scenario: all of prepare_run but the initial
+    network.
 
-    Data generation and contamination draw from scenario-scoped streams so
-    the loss functions of one scenario see identical datasets; only the
-    network initialization is keyed by the full configuration. Raises
+    Data generation and contamination draw from scenario-scoped streams, so
+    the loss functions of one scenario see identical datasets. Raises
     ValueError when the training responses cannot be standardized:
     DegenerateStandardizationError when they are all equal.
     """
@@ -229,45 +270,56 @@ def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
         y_train = train_c.Y
         y_test = test_ds.Y
 
-    hook = None
+    attacked = hook = None
     if cfg.contamination.kind == ContaminationKind.Y_ITERATIVE:
-        _, hook = make_iterative_attack_hook(
+        attacked, hook = make_iterative_attack_hook(
             train_c.n, rng_cont, eps=cfg.contamination.mu_out)
+    for shared in (train_c.X, y_train, attacked):
+        if shared is not None:
+            shared.flags.writeable = False
+    return PreparedScenario(Dataset(train_c.X, y_train), test_ds, y_test, test_fingerprint,
+                            attacked, hook)
 
-    net = init_weights(cfg.architecture(), np.random.default_rng(_init_seed(cfg, rep)))
-    return PreparedRun(Dataset(train_c.X, y_train), test_ds, y_test, test_fingerprint,
-                       hook, net)
+
+def _scenario_key(cfg: ExperimentConfig, rep: int) -> tuple:
+    """What prepare_scenario reads: the specs, and the strings their streams
+    are keyed by, which tell -0.0 from 0.0 where the specs compare equal."""
+    return (cfg.base_seed, cfg.data, _data_key(cfg.data), cfg.contamination,
+            _cont_key(cfg.contamination), cfg.standardize, rep)
+
+
+def _prepare_net(config: _Config, rep: int, scenario: PreparedScenario) -> PreparedRun:
+    """The per-run part of preparation: the initial network, drawn from a
+    stream keyed by the full configuration."""
+    seed = config.init_seed(rep)
+    net = init_weights(config.architecture, np.random.default_rng(seed))
+    return PreparedRun(config, rep, seed, scenario, net)
+
+
+def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
+    """Build the data, contamination, standardizer, attacker and initial
+    network of one replication: prepare_scenario, then the network.
+
+    Raises what prepare_scenario raises.
+    """
+    return _prepare_net(_Config(cfg), rep, prepare_scenario(cfg, rep))
 
 
 def train_run(cfg: ExperimentConfig, prep: PreparedRun, *,
               record_norms: bool = False) -> TrainOutcome:
     """Train a prepared replication with its configured loss, optimizer,
     divergence level and attacker."""
-    return train(prep.net, prep.train, cfg.loss, cfg.resolved_optimizer(),
-                 cfg.diverge_norm, record_norms=record_norms, epoch_end_hook=prep.hook)
-
-
-def _record_base(cfg: ExperimentConfig, rep: int) -> dict:
-    return dict(
-        config_id=cfg.config_id,
-        structure=cfg.data.structure.value,
-        n=cfg.data.n_train,
-        p=cfg.data.p,
-        activation=cfg.activation.value,
-        depth=cfg.depth.value,
-        standardized=cfg.standardize,
-        cont_kind=cfg.contamination.kind.value,
-        r=cfg.contamination.r,
-        mu_out=cfg.contamination.mu_out,
-        loss=loss_token(cfg.loss),
-        rep=rep,
-        seed=_init_seed(cfg, rep),
-    )
+    return train(prep.net, prep.scenario.train, cfg.loss, cfg.resolved_optimizer(),
+                 cfg.diverge_norm, record_norms=record_norms,
+                 epoch_end_hook=prep.scenario.hook)
 
 
 def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
+    config = _Config(cfg)
     return RunRecord(
-        **_record_base(cfg, rep),
+        **config.fields,
+        rep=rep,
+        seed=config.init_seed(rep),
         converged=False,
         status=STATUS_ERROR,
         epochs=0,
@@ -286,24 +338,26 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _record(cfg: ExperimentConfig, rep: int, prep: PreparedRun,
-            outcome: TrainOutcome) -> RunRecord:
+def _record(prep: PreparedRun, outcome: TrainOutcome) -> RunRecord:
     """The record of a trained run, with its test loss if it converged.
 
     The test set bypasses contamination entirely, which is checked via a
     byte hash; raises HeldOutSetModifiedError if it changed.
     """
+    scenario = prep.scenario
     test_loss = None
     if outcome.status == TrainStatus.CONVERGED:
         with np.errstate(over="ignore", invalid="ignore"):
-            preds = predict(outcome.final_net, prep.test.X)
-            test_loss = float(np.mean((preds - prep.y_test) ** 2))
+            preds = predict(outcome.final_net, scenario.test.X)
+            test_loss = float(np.mean((preds - scenario.y_test) ** 2))
 
-    if _fingerprint(prep.test) != prep.test_fingerprint:
+    if _fingerprint(scenario.test) != scenario.test_fingerprint:
         raise HeldOutSetModifiedError("test set was modified during the run")
 
     return RunRecord(
-        **_record_base(cfg, rep),
+        **prep.config.fields,
+        rep=prep.rep,
+        seed=prep.seed,
         converged=outcome.status == TrainStatus.CONVERGED,
         status=outcome.status.value,
         epochs=outcome.epochs_used,
@@ -321,15 +375,42 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """
     try:
         prep = prepare_run(cfg, rep)
-        return _record(cfg, rep, prep, train_run(cfg, prep))
+        return _record(prep, train_run(cfg, prep))
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return _error_record(cfg, rep, str(exc))
+
+
+class _SharedScenarios:
+    """The scenario preparations of one queue of (configuration,
+    replication) tasks. Each is built for the first task that needs it and
+    dropped after the last one, so a queue in configuration order, losses
+    varying fastest, holds the replications of at most one scenario."""
+
+    def __init__(self, tasks: list[tuple[ExperimentConfig, int]]):
+        self.tasks = tasks
+        self.keys = [_scenario_key(cfg, rep) for cfg, rep in tasks]
+        self.last = {key: i for i, key in enumerate(self.keys)}
+        self.held: dict[tuple, PreparedScenario] = {}
+
+    def get(self, i: int) -> PreparedScenario:
+        """Task i's scenario preparation; raises what prepare_scenario
+        raises, for each task that needs it."""
+        key = self.keys[i]
+        try:
+            scenario = self.held.get(key)
+            if scenario is None:
+                scenario = self.held[key] = prepare_scenario(*self.tasks[i])
+            return scenario
+        finally:
+            if self.last[key] == i:
+                self.held.pop(key, None)
 
 
 def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
     """Train a queue of same-shape (configuration, replication) tasks side
     by side, preparing each run when a slot is free for it; one record per
-    task, each equal to run_single's record of it. A run that fails is
+    task, each equal to run_single's record of it. The runs share their
+    scenario preparations (see _SharedScenarios). A run that fails is
     recorded as an error and the rest of the queue trains on."""
     records: dict[int, RunRecord] = {}
 
@@ -338,14 +419,18 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
         records[i] = _error_record(cfg, rep, _error_text(exc))
 
     def jobs():
+        scenarios = _SharedScenarios(tasks)
+        config = None
         for i, (cfg, rep) in enumerate(tasks):
+            if config is None or config.cfg is not cfg:
+                config = _Config(cfg)
             try:
-                prep = prepare_run(cfg, rep)
+                prep = _prepare_net(config, rep, scenarios.get(i))
             except Exception as exc:
                 fail(i, exc)
                 continue
-            yield TrainJob(prep.net, prep.train, cfg.loss, cfg.diverge_norm,
-                           epoch_end_hook=prep.hook, tag=(i, prep))
+            yield TrainJob(prep.net, prep.scenario.train, cfg.loss, cfg.diverge_norm,
+                           epoch_end_hook=prep.scenario.hook, tag=(i, prep))
 
     try:
         for job, outcome in train_slots(jobs(), tasks[0][0].resolved_optimizer()):
@@ -353,7 +438,7 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
             try:
                 if isinstance(outcome, Exception):
                     raise outcome
-                records[i] = _record(*tasks[i], prep, outcome)
+                records[i] = _record(prep, outcome)
             except Exception as exc:
                 fail(i, exc)
     except Exception as exc:  # record, never abort the sweep
@@ -367,11 +452,17 @@ def _queues(tasks: list, parallelism: int) -> list[list]:
     """The tasks split into queues of one shape: one architecture, training
     set size and optimizer. With several workers, each shape's tasks are
     dealt round robin into queues of about len(tasks) / (parallelism *
-    QUEUES_PER_WORKER) tasks, so the queues carry similar work."""
+    QUEUES_PER_WORKER) tasks, so the queues carry similar work. The tasks
+    of one scenario replication are dealt as one, so that one queue
+    prepares it, unless the shape has fewer scenario replications than
+    queues; then task by task, so that small sweeps still fill every
+    worker."""
     by_shape: dict[tuple, list] = {}
+    cfg = key = None
     for task in tasks:
-        cfg = task[0]
-        key = (cfg.architecture(), cfg.data.n_train, cfg.resolved_optimizer())
+        if task[0] is not cfg:
+            cfg = task[0]
+            key = (cfg.architecture(), cfg.data.n_train, cfg.resolved_optimizer())
         by_shape.setdefault(key, []).append(task)
     if parallelism == 1:
         return list(by_shape.values())
@@ -379,7 +470,11 @@ def _queues(tasks: list, parallelism: int) -> list[list]:
     queues = []
     for group in by_shape.values():
         k = math.ceil(len(group) / size)
-        queues += [group[i::k] for i in range(k)]
+        units: dict[tuple, int] = {}
+        unit = [units.setdefault(_scenario_key(*task), len(units)) for task in group]
+        if len(units) < k:
+            unit = range(len(group))
+        queues += [[task for task, u in zip(group, unit) if u % k == i] for i in range(k)]
     return queues
 
 

@@ -275,15 +275,6 @@ def _sum_steps(deltas, inputs) -> list[tuple]:
     return [(d, d.swapaxes(-1, -2), z) for d, z in zip(deltas, inputs)]
 
 
-def _kept_steps(deltas, inputs, kept) -> list[tuple]:
-    """_sum_steps over the kept rows: kept holds row indices into the
-    leading axis of deltas and inputs. For runs side by side these are
-    (B*n, width) row views and kept is (G, h), which gathers G runs' kept
-    rows into (G, h, width) stacks."""
-    return _sum_steps([d.take(kept, axis=0) for d in deltas],
-                      [z.take(kept, axis=0) for z in inputs])
-
-
 def _gradient_sum(steps, d_weights, d_intercepts) -> int:
     """Sum over rows of the per-instance gradients into the given per-layer
     arrays, each run's rows summed exactly as one run's are; returns the
@@ -321,6 +312,8 @@ class BatchKernel:
         self._scratch = [np.empty_like(a) for a in self.pre]
         self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
         self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
+        self._gather_buffers: dict[int, list] = {}
+        self._gathered: dict[tuple, list] = {}
         self.set_live(X.shape[0])
 
     def set_live(self, live: int) -> None:
@@ -355,8 +348,27 @@ class BatchKernel:
         kept, a (G, h) array of rows b*n + i (row i of slot b), sums G
         slots' kept rows instead, into (G, ...) arrays.
         """
-        steps = (self._sums if kept is None
-                 else _kept_steps(self._delta_rows, self._input_rows, kept))
+        if kept is None:
+            return _gradient_sum(self._sums, d_weights, d_intercepts)
+        # The kept rows are gathered into arrays allocated once, per trim
+        # count h for every slot, of which G slots use the first G: a fresh
+        # gather each epoch costs page faults at large n. The rows are in
+        # range, and mode="clip" writes straight into out, which the
+        # default mode would buffer.
+        steps = self._gathered.get(kept.shape)
+        if steps is None:
+            g, h = kept.shape
+            layers = len(self._delta_rows)
+            full = self._gather_buffers.get(h)
+            if full is None:
+                full = self._gather_buffers[h] = [
+                    np.empty((self.X.shape[0], h, a.shape[-1]))
+                    for a in self._delta_rows + self._input_rows]
+            steps = self._gathered[kept.shape] = _sum_steps(
+                [a[:g] for a in full[:layers]], [a[:g] for a in full[layers:]])
+        for (d, _, z), d_rows, z_rows in zip(steps, self._delta_rows, self._input_rows):
+            d_rows.take(kept, axis=0, out=d, mode="clip")
+            z_rows.take(kept, axis=0, out=z, mode="clip")
         return _gradient_sum(steps, d_weights, d_intercepts)
 
 
@@ -404,7 +416,9 @@ def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None)
     flat = np.empty(sum(sizes[1:]) + sum(a * b for a, b in zip(sizes, sizes[1:])))
     weights, intercepts = _split(flat, sizes)
     inputs = trace.activations[:-1]
-    steps = _sum_steps(deltas, inputs) if kept is None else _kept_steps(deltas, inputs, kept)
+    if kept is not None:
+        deltas, inputs = [d[kept] for d in deltas], [z[kept] for z in inputs]
+    steps = _sum_steps(deltas, inputs)
     n = _gradient_sum(steps, weights, intercepts)
     return np.divide(flat, n, out=flat)
 

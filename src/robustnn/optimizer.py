@@ -105,34 +105,46 @@ def _in_place_update(spec: OptimizerSpec, shape,
     # sign take a grown step; a sign flip shrinks the step, reverts the
     # previous update for that parameter and skips this epoch's update (the
     # stored sign becomes 0 so the next epoch falls into the neutral case).
+    # A NaN sign product is neutral.
+    #
+    # The cases are selected arithmetically, not by masked writes, whose
+    # branches mispredict on random sign patterns. With s = sign(g), f = 1
+    # where the sign flipped and 0 elsewhere, Δ the step sizes before the
+    # update and Δ' after it:
+    #   step factor  (1, η+, η-)[grew - flipped]  (index -1 is the last entry)
+    #   stored sign  s - s*f                      (+0.0 where flipped)
+    #   parameter    ((p - stored*Δ') - s*f*Δ) + 0.0
+    # Where the sign flipped, stored*Δ' is 0 and -s*f*Δ = prev_sign*Δ
+    # reverts the previous update. The closing + 0.0 turns -0.0 into +0.0,
+    # as adding a +0.0 revert to an unflipped parameter does, so every
+    # value, signed zeros included, equals the masked form's.
     if steps is None:
         steps = np.full(shape, spec.delta0, dtype=np.float64)
         signs = np.zeros(shape, dtype=np.float64)
-    eta_plus, eta_minus = spec.eta_plus, spec.eta_minus
+    factors = np.array([1.0, spec.eta_plus, spec.eta_minus])
     delta_min, delta_max = spec.delta_min, spec.delta_max
-    prod, revert, move = (np.empty(shape) for _ in range(3))
-    flipped, grew = (np.empty(shape, dtype=bool) for _ in range(2))
+    prod, sf, revert, factor, move = (np.empty(shape) for _ in range(5))
+    grew, flipped = (np.empty(shape, dtype=bool) for _ in range(2))
+    grew_i, flipped_i = grew.view(np.int8), flipped.view(np.int8)
+    case = np.empty(shape, dtype=np.int8)
 
     def rprop_plus(params, g):
         np.sign(g, out=s)
         np.multiply(s, signs, out=prod)
-        np.less(prod, 0.0, out=flipped)
         np.greater(prod, 0.0, out=grew)
-        # the previous applied update was -prev_sign * steps (pre-shrink values)
-        revert.fill(0.0)
-        np.multiply(signs, steps, out=revert, where=flipped)
-        np.multiply(steps, eta_minus, out=steps, where=flipped)
-        np.multiply(steps, eta_plus, out=steps, where=grew)
-        # clip to [delta_min, delta_max]
+        np.less(prod, 0.0, out=flipped)
+        np.subtract(grew_i, flipped_i, out=case)
+        factors.take(case, out=factor)
+        np.multiply(s, flipped, out=sf)
+        np.multiply(sf, steps, out=revert)
+        np.subtract(s, sf, out=signs)
+        np.multiply(steps, factor, out=steps)
         np.maximum(steps, delta_min, out=steps)
         np.minimum(steps, delta_max, out=steps)
-        np.negative(s, out=move)
-        np.multiply(move, steps, out=move)
-        np.copyto(move, 0.0, where=flipped)
-        np.add(params, move, out=params)
-        np.add(params, revert, out=params)
-        np.copyto(s, 0.0, where=flipped)
-        np.copyto(signs, s)
+        np.multiply(signs, steps, out=move)
+        np.subtract(params, move, out=params)
+        np.subtract(params, revert, out=params)
+        np.add(params, 0.0, out=params)
 
     return rprop_plus
 

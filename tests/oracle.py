@@ -5,11 +5,13 @@ net.BatchKernel. This module builds one flat gradient per instance in
 param_vector layout, reduces them with a plain loop (mean, or trimmed mean
 over the instances with the smallest losses), and applies the optimizer's
 own update rule to copies of the parameters, so tests can compare the
-fused route against an instance-by-instance one.
+fused route against an instance-by-instance one. rprop_plus_reference is
+Rprop+ one parameter at a time, for tests of that update rule itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,3 +104,44 @@ def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
     _in_place_update(spec, params.shape[0], steps, signs)(
         params, np.asarray(agg, dtype=np.float64))
     return network_from_vector(net.architecture, params, copy=False), state
+
+
+def _sign(x: float) -> float:
+    """np.sign for one float: -1.0, +0.0 or 1.0, and NaN for NaN."""
+    if math.isnan(x):
+        return x
+    return float((x > 0) - (x < 0))
+
+
+def rprop_plus_reference(spec: OptimizerSpec, params, g, steps, signs) -> None:
+    """One Rprop+ update with weight backtracking (Riedmiller & Braun 1993;
+    Igel & Hüsken 2000), in place, with a branch per parameter on the sign
+    of g times the previous gradient sign:
+
+    - positive: the step grows by eta_plus;
+    - negative: the step shrinks by eta_minus, the previous move is
+      reverted (it was -prev_sign * step, with the step before shrinking),
+      this epoch's move is skipped and the stored sign becomes +0.0;
+    - zero or NaN: the step stays.
+
+    Steps are clipped to [delta_min, delta_max]. Each parameter moves as
+    (p + move) + revert, where the one of the two that does not apply is
+    +0.0; so a -0.0 parameter that does not move becomes +0.0.
+    """
+    for i in np.ndindex(params.shape):
+        s = _sign(float(g[i]))
+        prev, step, p = float(signs[i]), float(steps[i]), float(params[i])
+        move = revert = 0.0
+        if s * prev < 0:
+            revert = prev * step
+            step = step * spec.eta_minus
+        elif s * prev > 0:
+            step = step * spec.eta_plus
+        step = min(max(step, spec.delta_min), spec.delta_max)
+        if s * prev < 0:
+            s = 0.0
+        else:
+            move = -s * step
+        params[i] = (p + move) + revert
+        steps[i] = step
+        signs[i] = s

@@ -221,14 +221,14 @@ class TestCmdRun:
         assert cli.cmd_run(cfg, tmp_path / "clean") == 0
         assert capsys.readouterr().out.startswith("3 configurations, 6 runs, ")
 
-        prepare = exp.prepare_run
+        prepare = exp._prepare_net
 
-        def failing(config, rep):
+        def failing(config, rep, scenario):
             if config.config_id.endswith("_huber") and rep == 1:
                 raise RuntimeError("no data for this run")
-            return prepare(config, rep)
+            return prepare(config, rep, scenario)
 
-        monkeypatch.setattr(exp, "prepare_run", failing)
+        monkeypatch.setattr(exp, "_prepare_net", failing)
         assert cli.cmd_run(cfg, tmp_path / "failed") == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith(

@@ -193,6 +193,25 @@ class TestIterativeAttackerStep:
         new = iterative_attacker_step(preds, losses, [0, 1], eps=1.0)
         np.testing.assert_array_equal(new, 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 6, 7, 1000])
+    def test_hook_sets_what_the_step_gives(self, n):
+        # the hook skips the step's sort of the (already sorted) indices;
+        # its responses must not change
+        rng = np.random.default_rng(n)
+        attacked, hook = make_iterative_attack_hook(n, rng, eps=0.5)
+        for losses in (rng.uniform(0.0, 2.0, n), np.zeros(n), np.round(rng.uniform(0, 2, n))):
+            preds, y = rng.standard_normal((2, n))
+            want = y.copy()
+            want[attacked] = iterative_attacker_step(preds, losses, list(attacked), eps=0.5)
+            got = hook(1, preds, losses, y)
+            assert got is not y and got.tobytes() == want.tobytes()
+
+    def test_step_sorts_the_given_indices(self):
+        preds = np.arange(6.0)
+        losses = np.full(6, 4.0)
+        np.testing.assert_array_equal(iterative_attacker_step(preds, losses, [4, 1, 2], 0.5),
+                                      [1.5, 2.5, 4.5])
+
     def test_chosen_indices_are_half_of_n(self):
         idx = choose_attacked_indices(10, np.random.default_rng(1))
         assert idx.size == 5

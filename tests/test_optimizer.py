@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracle import RpropState, aggregate_gradients, backprop, dloss_dprediction, step
+from oracle import (
+    RpropState,
+    aggregate_gradients,
+    backprop,
+    dloss_dprediction,
+    rprop_plus_reference,
+    step,
+)
 from robustnn import losses as L
 from robustnn.datagen import DataGenSpec, Structure, fit_standardizer, generate_dataset
 from robustnn.net import (
@@ -357,3 +364,50 @@ class TestStackedRpropProperties:
             kept = ~flipped
             np.testing.assert_array_equal(
                 params[kept], before[kept] - np.sign(g[kept]) * steps[kept])
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signed zeros included, except that any NaN equals
+    any NaN in the same place."""
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestRpropAgainstReference:
+    """The vectorised Rprop+ update against the branch-per-parameter one in
+    tests/oracle.py, on parameters and gradients at +-0.0, NaN gradients and
+    steps at their limits, over several consecutive updates."""
+
+    SPECS = [OptimizerSpec(),
+             OptimizerSpec(delta0=1e-6, delta_min=1e-6, delta_max=1e-3),
+             OptimizerSpec(eta_plus=3.5, eta_minus=0.1, delta0=0.05, delta_min=0.01,
+                           delta_max=0.05)]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_every_value_matches_the_reference(self, spec, rows):
+        rng = np.random.default_rng(rows * 31 + int(spec.delta_max * 1000))
+        shape = (rows, 97)
+        special_p = [0.0, -0.0, 1.5, -2.25, spec.delta_min, -spec.delta_max]
+        special_g = [0.0, -0.0, np.nan, 1e-300, -1e-300, 2.0, -3.0]
+        # a -0.0 parameter with a zero gradient, which becomes +0.0
+        signed_zero_stays = False
+        for trial in range(12):
+            params = np.where(rng.random(shape) < 0.5, rng.choice(special_p, shape),
+                              rng.standard_normal(shape))
+            steps = rng.choice([spec.delta_min, spec.delta0, spec.delta_max], shape)
+            signs = rng.choice([-1.0, 0.0, 1.0], shape)
+            ref = [a.copy() for a in (params, steps, signs)]
+            update = _in_place_update(spec, shape, steps, signs)
+            for _ in range(8):
+                g = np.where(rng.random(shape) < 0.4, rng.choice(special_g, shape),
+                             rng.standard_normal(shape))
+                signed_zero_stays |= bool((np.signbit(params) & (params == 0.0)
+                                           & (g == 0.0)).any())
+                with np.errstate(invalid="ignore"):
+                    update(params, g)
+                rprop_plus_reference(spec, *ref[:1], g, *ref[1:])
+                for got, want in zip((params, steps, signs), ref):
+                    assert same_bits(got, want)
+            assert np.isnan(params).any()
+        assert signed_zero_stays

@@ -259,6 +259,88 @@ def test_sweep_equals_run_single(parallelism):
     assert sum(rec.status == E.STATUS_ERROR for rec in got) == 3
 
 
+def shared_queue():
+    """One queue in configuration order, losses varying fastest: y-iterative
+    runs (r=0.0 and r=-0.0, whose streams are keyed apart), y-convex runs
+    standardized and not, and runs whose one training response cannot be
+    standardized."""
+    data = DataGenSpec(p=3, n_train=30, n_test=12, structure=Structure.LIN)
+    scenarios = [(ContaminationSpec(ContaminationKind.Y_ITERATIVE, r=0.5, mu_out=2.0), False),
+                 (ContaminationSpec(ContaminationKind.Y_ITERATIVE, r=0.0, mu_out=2.0), True),
+                 (ContaminationSpec(ContaminationKind.Y_ITERATIVE, r=-0.0, mu_out=2.0), True),
+                 (ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.25, mu_out=10.0), True),
+                 (ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.25, mu_out=10.0), False)]
+    cfgs = [E.ExperimentConfig(data=data, contamination=cont, activation=Activation.LOGISTIC,
+                               loss=loss, standardize=standardize, depth=E.Depth.SHALLOW,
+                               replications=2, base_seed=9, optimizer=OptimizerSpec(stepmax=60))
+            for cont, standardize in scenarios
+            for loss in (L.LossSpec.squared(), L.LossSpec.huber(), L.LossSpec.trimmed(0.25))]
+    cfgs += [dataclasses.replace(cfg, data=dataclasses.replace(data, n_train=1))
+             for cfg in cfgs[-6:-3]]
+    return [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+
+
+def assert_same_preparation(got, want):
+    a, b = got.scenario, want.scenario
+    for x, y in ((a.train.X, b.train.X), (a.train.Y, b.train.Y), (a.test.X, b.test.X),
+                 (a.test.Y, b.test.Y), (a.y_test, b.y_test)):
+        assert bits(x) == bits(y)
+    assert a.test_fingerprint == b.test_fingerprint
+    assert (a.attacked is None) == (b.attacked is None) == (a.hook is None)
+    if a.attacked is not None:
+        assert a.attacked.tobytes() == b.attacked.tobytes()
+        rng = np.random.default_rng(got.seed % 1000)
+        predictions, losses, y = rng.standard_normal((3, a.train.X.shape[0]))
+        assert bits(a.hook(1, predictions, losses, y)) == bits(b.hook(1, predictions, losses, y))
+    assert got.seed == want.seed
+    assert bits(param_vector(got.net)) == bits(param_vector(want.net))
+
+
+def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):
+    tasks = shared_queue()
+    prepared, scenario_calls, held = [], [], []
+    prepare_scenario, prepare_net, get = (E.prepare_scenario, E._prepare_net,
+                                          E._SharedScenarios.get)
+
+    def recording_scenario(cfg, rep):
+        scenario_calls.append(E._scenario_key(cfg, rep))
+        return prepare_scenario(cfg, rep)
+
+    def recording_net(config, rep, scenario):
+        prep = prepare_net(config, rep, scenario)
+        prepared.append((config.cfg, rep, prep))
+        return prep
+
+    def recording_get(self, i):
+        try:
+            return get(self, i)
+        finally:
+            # the scenarios held, each key without its replication
+            held.append({key[:-1] for key in self.held})
+
+    monkeypatch.setattr(E, "prepare_scenario", recording_scenario)
+    monkeypatch.setattr(E, "_prepare_net", recording_net)
+    monkeypatch.setattr(E._SharedScenarios, "get", recording_get)
+    records = E._run_queue(tasks)
+    monkeypatch.undo()
+
+    # every run trained on what a fresh prepare_run gives it
+    assert len(prepared) == len(tasks) - 6
+    for cfg, rep, prep in prepared:
+        assert_same_preparation(prep, E.prepare_run(cfg, rep))
+    # records, error texts included, are run_single's
+    want = [reference_record(cfg, rep) for cfg, rep in tasks]
+    key = lambda rec: (rec.config_id, rec.rep)  # noqa: E731
+    assert [fields(r) for r in sorted(records, key=key)] == [fields(r) for r in sorted(want, key=key)]
+    assert [r.error for r in records if r.status == E.STATUS_ERROR] == \
+        ["ValueError: need at least two responses"] * 6
+    # each scenario replication was prepared once; the failing ones once per run
+    counts = {k: scenario_calls.count(k) for k in scenario_calls}
+    assert sorted(counts.values()) == [1] * 10 + [3] * 2
+    # and the queue never held the replications of two scenarios at once
+    assert len(held) == len(tasks) and max(map(len, held)) == 1
+
+
 def test_queues_hold_one_shape_and_spread_over_the_workers():
     cfgs = sweep_configs()
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
@@ -270,6 +352,14 @@ def test_queues_hold_one_shape_and_spread_over_the_workers():
                       for c, _ in queue}
             assert len(shapes) == 1
         assert len(queues) >= (3 if parallelism == 1 else parallelism)
+        # each shape has six scenario replications, enough to deal them
+        # whole: a shape's runs of one land in one queue, which prepares it
+        # once
+        owner = {}
+        for i, queue in enumerate(queues):
+            for cfg, rep in queue:
+                key = (cfg.architecture(), E._scenario_key(cfg, rep))
+                assert owner.setdefault(key, i) == i
     # twelve runs of two shapes, as in the capped wide sweep, still fill two workers
     wide = [dataclasses.replace(cfg, replications=1) for cfg in cfgs[:12]]
     small = [(cfg, 0) for cfg in wide]
