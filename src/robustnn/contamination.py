@@ -37,6 +37,9 @@ class ContaminationSpec:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
         if not self.out_sd > 0:
             raise ValueError(f"out_sd must be positive, got {self.out_sd}")
+        # the adaptive attacker's offset bound
+        if self.kind == ContaminationKind.Y_ITERATIVE and not self.mu_out > 0:
+            raise ValueError(f"mu_out must be positive for {self.kind.value}, got {self.mu_out}")
 
 
 def contamination_count(r: float, n: int) -> int:
@@ -148,12 +151,12 @@ def choose_attacked_indices(n: int, rng: np.random.Generator) -> np.ndarray:
 def make_iterative_attack_hook(n: int, rng: np.random.Generator, eps: float):
     """Build an epoch-end hook for optimizer.train implementing the adaptive
     attacker; returns (attacked_indices, hook)."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     attacked = choose_attacked_indices(n, rng)
 
     # iterative_attacker_step without sorting the indices, which are sorted
     def hook(epoch, predictions, per_instance_losses, y):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         new_y = y.copy()
         predictions = np.asarray(predictions, dtype=np.float64)
         new_y[attacked] = predictions[attacked] + _attack_offset(per_instance_losses, eps)

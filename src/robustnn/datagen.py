@@ -39,14 +39,6 @@ class DataGenSpec:
             raise ValueError(f"snr must be positive, got {self.snr}")
 
 
-# the study's (p, n_train, n_test, snr, mu) grid
-STUDY_DATA_GRID = (
-    DataGenSpec(p=5, n_train=150, n_test=50),
-    DataGenSpec(p=20, n_train=500, n_test=200),
-    DataGenSpec(p=50, n_train=1000, n_test=500),
-)
-
-
 @dataclass
 class Dataset:
     """Predictor matrix, responses and (when generated here) the underlying

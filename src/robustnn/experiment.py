@@ -49,12 +49,6 @@ DEPTH_STEPMAX = {Depth.SHALLOW: STEPMAX_SHALLOW, Depth.DEEP: STEPMAX_DEEP}
 
 STATUS_ERROR = "error"
 
-# Same-shape queues per worker. Each queue is one pool task whose runs train
-# side by side and whose slots drain once, at its end; several queues per
-# worker let the pool even out the workers' loads, and small sweeps still
-# spread over every worker.
-QUEUES_PER_WORKER = 4
-
 
 class HeldOutSetModifiedError(RuntimeError):
     """The test set changed while a run trained on its training set."""
@@ -281,11 +275,12 @@ def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
                             attacked, hook)
 
 
-def _scenario_key(cfg: ExperimentConfig, rep: int) -> tuple:
-    """What prepare_scenario reads: the specs, and the strings their streams
-    are keyed by, which tell -0.0 from 0.0 where the specs compare equal."""
+def _scenario_key(cfg: ExperimentConfig) -> tuple:
+    """What prepare_scenario reads besides the replication: the specs, and
+    the strings their streams are keyed by, which tell -0.0 from 0.0 where
+    the specs compare equal."""
     return (cfg.base_seed, cfg.data, _data_key(cfg.data), cfg.contamination,
-            _cont_key(cfg.contamination), cfg.standardize, rep)
+            _cont_key(cfg.contamination), cfg.standardize)
 
 
 def _prepare_net(config: _Config, rep: int, scenario: PreparedScenario) -> PreparedRun:
@@ -380,38 +375,13 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
         return _error_record(cfg, rep, str(exc))
 
 
-class _SharedScenarios:
-    """The scenario preparations of one queue of (configuration,
-    replication) tasks. Each is built for the first task that needs it and
-    dropped after the last one, so a queue in configuration order, losses
-    varying fastest, holds the replications of at most one scenario."""
-
-    def __init__(self, tasks: list[tuple[ExperimentConfig, int]]):
-        self.tasks = tasks
-        self.keys = [_scenario_key(cfg, rep) for cfg, rep in tasks]
-        self.last = {key: i for i, key in enumerate(self.keys)}
-        self.held: dict[tuple, PreparedScenario] = {}
-
-    def get(self, i: int) -> PreparedScenario:
-        """Task i's scenario preparation; raises what prepare_scenario
-        raises, for each task that needs it."""
-        key = self.keys[i]
-        try:
-            scenario = self.held.get(key)
-            if scenario is None:
-                scenario = self.held[key] = prepare_scenario(*self.tasks[i])
-            return scenario
-        finally:
-            if self.last[key] == i:
-                self.held.pop(key, None)
-
-
 def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
     """Train a queue of same-shape (configuration, replication) tasks side
     by side, preparing each run when a slot is free for it; one record per
-    task, each equal to run_single's record of it. The runs share their
-    scenario preparations (see _SharedScenarios). A run that fails is
-    recorded as an error and the rest of the queue trains on."""
+    task, each equal to run_single's record of it. The runs of one scenario
+    replication share its preparation, which is held until the queue moves
+    on to another scenario. A run that fails is recorded as an error and
+    the rest of the queue trains on."""
     records: dict[int, RunRecord] = {}
 
     def fail(i: int, exc: Exception) -> None:
@@ -419,13 +389,19 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
         records[i] = _error_record(cfg, rep, _error_text(exc))
 
     def jobs():
-        scenarios = _SharedScenarios(tasks)
-        config = None
+        held: dict[int, PreparedScenario] = {}  # the current scenario's, by replication
+        config = scenario = None
         for i, (cfg, rep) in enumerate(tasks):
             if config is None or config.cfg is not cfg:
                 config = _Config(cfg)
+                key = _scenario_key(cfg)
+                if key != scenario:
+                    scenario = key
+                    held.clear()
             try:
-                prep = _prepare_net(config, rep, scenarios.get(i))
+                if rep not in held:
+                    held[rep] = prepare_scenario(cfg, rep)
+                prep = _prepare_net(config, rep, held[rep])
             except Exception as exc:
                 fail(i, exc)
                 continue
@@ -450,13 +426,11 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
 
 def _queues(tasks: list, parallelism: int) -> list[list]:
     """The tasks split into queues of one shape: one architecture, training
-    set size and optimizer. With several workers, each shape's tasks are
-    dealt round robin into queues of about len(tasks) / (parallelism *
-    QUEUES_PER_WORKER) tasks, so the queues carry similar work. The tasks
-    of one scenario replication are dealt as one, so that one queue
-    prepares it, unless the shape has fewer scenario replications than
-    queues; then task by task, so that small sweeps still fill every
-    worker."""
+    set size and optimizer. Each shape's scenario replications are dealt
+    round robin into `parallelism` queues, each kept in task order, so that
+    one queue prepares each of them; a shape with fewer scenario
+    replications than workers is dealt run by run instead, so that small
+    sweeps still fill every worker."""
     by_shape: dict[tuple, list] = {}
     cfg = key = None
     for task in tasks:
@@ -464,16 +438,13 @@ def _queues(tasks: list, parallelism: int) -> list[list]:
             cfg = task[0]
             key = (cfg.architecture(), cfg.data.n_train, cfg.resolved_optimizer())
         by_shape.setdefault(key, []).append(task)
-    if parallelism == 1:
-        return list(by_shape.values())
-    size = math.ceil(len(tasks) / (parallelism * QUEUES_PER_WORKER))
     queues = []
     for group in by_shape.values():
-        k = math.ceil(len(group) / size)
         units: dict[tuple, int] = {}
-        unit = [units.setdefault(_scenario_key(*task), len(units)) for task in group]
-        if len(units) < k:
+        unit = [units.setdefault((_scenario_key(cfg), rep), len(units)) for cfg, rep in group]
+        if len(units) < parallelism:
             unit = range(len(group))
+        k = min(parallelism, len(group))
         queues += [[task for task, u in zip(group, unit) if u % k == i] for i in range(k)]
     return queues
 

@@ -14,7 +14,6 @@ import numpy as np
 
 TUKEY_K_DEFAULT = 4.685  # 95% efficiency tuning constant
 HUBER_DELTA_FLOOR = 1e-8
-STUDY_TRIM_ALPHAS = (0.1, 0.25, 0.5)
 
 
 class LossKind(str, Enum):

@@ -294,8 +294,9 @@ class BatchKernel:
     network_from_vector gives them for a (B, P) parameter buffer, and X is a
     C-contiguous (B, n, p) array. The kernel keeps references to these arrays, so the caller
     can move the parameters in place and write a new run's inputs into a
-    slot between passes. Every pass runs on the first `live` slots only,
-    with one stacked np.matmul per layer, whose slices are the matrix
+    slot between passes. Every pass runs on the first `live` slots only (a
+    gradient sum on as many as its output arrays hold), with one stacked
+    np.matmul per layer, whose slices are the matrix
     products of one run. train_slots runs every epoch through one kernel;
     forward_batch, batch_deltas and mean_gradient_vector run the same
     passes once on arrays of their own.
@@ -312,6 +313,7 @@ class BatchKernel:
         self._scratch = [np.empty_like(a) for a in self.pre]
         self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
         self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
+        self._sums: dict[int, list] = {}
         self._gather_buffers: dict[int, list] = {}
         self._gathered: dict[tuple, list] = {}
         self.set_live(X.shape[0])
@@ -329,7 +331,6 @@ class BatchKernel:
         self._forward = _forward_steps(net, pre, acts)
         self._backward = _backward_steps(net, pre, acts, deltas, head(self._scratch))
         self._deltas = deltas
-        self._sums = _sum_steps(deltas, acts[:-1])
 
     def forward(self) -> np.ndarray:
         """Run the forward pass; returns the predictions."""
@@ -342,14 +343,20 @@ class BatchKernel:
         return self._deltas
 
     def gradient_sum(self, d_weights, d_intercepts, kept=None) -> int:
-        """Per live slot, the sum of per-instance gradients over all rows
-        into the given (live, ...) per-layer arrays; returns the row count.
+        """Per slot of the first k, the sum of per-instance gradients over
+        all rows into the given (k, ...) per-layer arrays; returns the row
+        count.
 
         kept, a (G, h) array of rows b*n + i (row i of slot b), sums G
         slots' kept rows instead, into (G, ...) arrays.
         """
         if kept is None:
-            return _gradient_sum(self._sums, d_weights, d_intercepts)
+            k = d_intercepts[0].shape[0]
+            steps = self._sums.get(k)
+            if steps is None:
+                steps = self._sums[k] = _sum_steps([d[:k] for d in self.deltas],
+                                                   [z[:k] for z in self.acts[:-1]])
+            return _gradient_sum(steps, d_weights, d_intercepts)
         # The kept rows are gathered into arrays allocated once, per trim
         # count h for every slot, of which G slots use the first G: a fresh
         # gather each epoch costs page faults at large n. The rows are in

@@ -214,33 +214,24 @@ class _Slot:
 
 
 class _LossGroup:
-    """The live slots that share one loss: per epoch, their per-instance
-    losses, objectives, dL/dyhat and, for a trimmed loss, their kept rows.
+    """The adjacent live slots [start, start + count) that share one loss:
+    per epoch, their per-instance losses, objectives, dL/dyhat and, for a
+    trimmed loss, their kept rows, read and written through views of the
+    stacked arrays."""
 
-    A group of adjacent slots reads and writes the stacked arrays through
-    views; any other group gathers its rows and scatters its results.
-    """
-
-    def __init__(self, batch: "_Slots", spec: L.LossSpec, members: list[int]):
-        n, g = batch.n, len(members)
-        self.spec, self.members = spec, members
+    def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
+        n, end = batch.n, start + count
+        self.spec, self.start, self.count = spec, start, count
         self.value, self.gradient = L._kernels(spec)
         self.adaptive = spec.adaptive_huber
         self.constant = None if self.adaptive else L._constant(spec, None)
         self.kth = L._median_kth(n)
-        self.abs_r = np.empty((g, n)) if self.adaptive else None
+        self.abs_r = np.empty((count, n)) if self.adaptive else None
         self.h = L.trim_count(n, spec.trim_alpha) if spec.is_trimmed else None
-        self.contiguous = members == list(range(members[0], members[0] + g))
-        self.sel = slice(members[0], members[0] + g) if self.contiguous else members
         # a row of the group's losses -> that row in the kernel's (B*n) rows
-        self.row_shift = (np.array(members)[:, None] - np.arange(g)[:, None]) * n
-        self.r_all = batch.r
-        self.error_all = batch.kernel.deltas[-1][..., 0]
-        if self.contiguous:
-            self.r, self.error = self.r_all[self.sel], self.error_all[self.sel]
-            self.grad = batch.grad[self.sel]
-        else:
-            self.grad = np.empty((g, batch.grad.shape[1]))
+        self.row_shift = start * n
+        self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
+        self.grad = batch.grad[start:end]
         self.grad_weights, self.grad_intercepts = _split(self.grad, batch.arch.layer_sizes)
         self.per = self.kept = None
 
@@ -248,8 +239,7 @@ class _LossGroup:
         """Per-instance losses and dL/dyhat of the group's runs, and their
         kept rows if trimmed; returns each run's objective, the sum of its
         (kept) losses."""
-        r = self.r if self.contiguous else self.r_all[self.sel]
-        c = self.constant
+        r, c = self.r, self.constant
         if self.adaptive:
             c = L._floored_median(np.abs(r, out=self.abs_r), self.kth)
         per = self.per = self.value(r, c)
@@ -259,18 +249,16 @@ class _LossGroup:
             kept = L._trim_rows(per, self.h)
             self.kept = kept + self.row_shift
             sums = np.add.reduce(per.take(kept), axis=1)
-        if self.contiguous:
-            np.negative(self.gradient(r, c), out=self.error)
-        else:
-            self.error_all[self.sel] = -self.gradient(r, c)
+        np.negative(self.gradient(r, c), out=self.error)
         return sums.tolist()
 
 
 class _Slots:
     """The stacked state of up to `capacity` runs of one shape: parameters,
     Rprop+ step sizes and signs, inputs, responses and the kernel over
-    them. Occupied slots are kept packed at the front, and every stacked
-    operation runs on the [:live] prefix."""
+    them. Occupied slots are kept at the front, each loss's slots side by
+    side and the untrimmed losses first, and every stacked operation runs
+    on the [:live] prefix."""
 
     def __init__(self, arch, n: int, spec: OptimizerSpec, capacity: int):
         n_params = count_parameters(arch)[2]
@@ -288,7 +276,7 @@ class _Slots:
         self.slots: list[_Slot | None] = []
         self.groups: list[_LossGroup] = []
         self.epoch = 0
-        self.live = None
+        self.live = self.untrimmed = None
 
     def has_room(self) -> bool:
         return len(self.slots) < self.capacity or None in self.slots
@@ -312,45 +300,51 @@ class _Slots:
         self.Y[b] = Y
         self.rows[b] = L.trim_count(self.n, job.loss.trim_alpha) if job.loss.is_trimmed else self.n
 
-    def pack(self) -> None:
-        """Move the last occupied slots into the free ones before them."""
-        slots = self.slots
-        while True:
-            while slots and slots[-1] is None:
-                slots.pop()
-            if None not in slots:
-                return
-            b, src = slots.index(None), len(slots) - 1
-            for a in (self.params, self.steps, self.signs, self.X, self.Y, self.rows):
-                a[b] = a[src]
-            slots[b] = slots.pop()
+    def arrange(self) -> None:
+        """Move the occupied slots to the front, each loss's slots side by
+        side and the untrimmed losses first: a stable sort on (trimmed,
+        first slot of the loss). Each run's stacked rows move with it."""
+        occupied = [(b, slot.job.loss) for b, slot in enumerate(self.slots) if slot is not None]
+        first = {loss: b for b, loss in reversed(occupied)}
+        occupied.sort(key=lambda item: (item[1].is_trimmed, first[item[1]]))
+        source = [b for b, _ in occupied]
+        moved = [b for b, src in enumerate(source) if b != src]
+        take = [source[b] for b in moved]
+        for a in (self.params, self.steps, self.signs, self.X, self.Y, self.rows):
+            a[moved] = a[take]
+        self.slots = [self.slots[src] for src in source]
 
     def prepare(self) -> None:
-        """Views, loss groups and callback lists for the occupied slots."""
+        """Views, loss groups and callback lists for the occupied slots,
+        as arrange() left them."""
         live = len(self.slots)
         if live != self.live:
             self.live = live
             self.kernel.set_live(live)
             self.update = _in_place_update(self.spec, (live, self.params.shape[1]),
                                            self.steps[:live], self.signs[:live])
-            self.grad_weights, self.grad_intercepts = _split(self.grad[:live],
-                                                             self.arch.layer_sizes)
             self.param_rows = list(self.params[:live])
-        by_loss: dict[L.LossSpec, list[int]] = {}
+        spans: dict[L.LossSpec, list[int]] = {}
         for b, slot in enumerate(self.slots):
-            by_loss.setdefault(slot.job.loss, []).append(b)
+            spans.setdefault(slot.job.loss, [b, 0])[1] += 1
         # a run that ends is mostly replaced by one of the same loss, which
         # leaves its group as it was
-        known = {(g.spec, tuple(g.members)): g for g in self.groups}
-        self.groups = [known.get((spec, tuple(members))) or _LossGroup(self, spec, members)
-                       for spec, members in by_loss.items()]
+        known = {(g.spec, g.start, g.count): g for g in self.groups}
+        self.groups = [known.get((spec, start, count)) or _LossGroup(self, spec, start, count)
+                       for spec, (start, count) in spans.items()]
         self.trimmed = [g for g in self.groups if g.h is not None]
+        # the full gradient sum covers the untrimmed slots, which lead
+        untrimmed = self.trimmed[0].start if self.trimmed else live
+        if untrimmed != self.untrimmed:
+            self.untrimmed = untrimmed
+            self.grad_weights, self.grad_intercepts = _split(self.grad[:untrimmed],
+                                                             self.arch.layer_sizes)
         self.recording = [(b, slot.norms) for b, slot in enumerate(self.slots)
                           if slot.norms is not None]
         self.transformed = [(b, slot.job.grad_transform) for b, slot in enumerate(self.slots)
                             if slot.job.grad_transform is not None]
-        self.hooked = [(b, self.slots[b].job.epoch_end_hook, g, j)
-                       for g in self.groups for j, b in enumerate(g.members)
+        self.hooked = [(b, self.slots[b].job.epoch_end_hook, g, b - g.start)
+                       for g in self.groups for b in range(g.start, g.start + g.count)
                        if self.slots[b].job.epoch_end_hook is not None]
         self.cap_epoch = min(slot.first for slot in self.slots) + self.spec.stepmax - 1
 
@@ -383,8 +377,7 @@ class _Slots:
         params, grad, abs_g = self.params[:live], self.grad[:live], self.abs_g[:live]
         param_rows = self.param_rows
         update, threshold, stepmax = self.update, spec.grad_threshold, spec.stepmax
-        cap_epoch = self.cap_epoch
-        full_sum = len(trimmed) < len(groups)
+        cap_epoch, untrimmed = self.cap_epoch, self.untrimmed
         grad_weights, grad_intercepts = self.grad_weights, self.grad_intercepts
         recording, transformed, hooked = self.recording, self.transformed, self.hooked
         ended: dict = {}
@@ -398,17 +391,15 @@ class _Slots:
                 # sums of non-negative losses: their total is finite exactly
                 # when each of them is, barring overflow of the total
                 if not math.isfinite(sum(sums)):
-                    for b, total in zip(g.members, sums):
+                    for b, total in enumerate(sums, g.start):
                         if not math.isfinite(total):
                             end(ended, b, TrainStatus.DIVERGED)
 
             kernel.backward()
-            if full_sum:
+            if untrimmed:
                 kernel.gradient_sum(grad_weights, grad_intercepts)
             for g in trimmed:
                 kernel.gradient_sum(g.grad_weights, g.grad_intercepts, g.kept)
-                if not g.contiguous:
-                    grad[g.sel] = g.grad
             np.divide(grad, rows, out=grad)
             for b, transform in transformed:
                 if b not in ended:
@@ -493,7 +484,7 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
                 yield job, exc
         if batch is None:
             return
-        batch.pack()
+        batch.arrange()
         if not batch.slots:
             return
         batch.prepare()

@@ -212,6 +212,19 @@ class TestCmdRun:
         assert capsys.readouterr().err == f"error: --parallel must be at least 1, got {parallel}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu_out", [0, -1.0])
+    def test_a_non_positive_attacker_bound_is_a_config_error(self, tmp_path, capsys, mu_out):
+        # the adaptive attacker's offset is bounded by mu_out; without this
+        # check every run would fail after its first epoch
+        doc = base_doc(contamination={"kind": ["none", "y-iterative"], "r": 0.5,
+                                      "mu_out": mu_out})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: contamination.mu_out must be positive"), err
+        assert not out.exists()
+
     def test_a_run_that_fails_to_prepare_is_reported(self, tmp_path, capsys, monkeypatch):
         # six same-shape runs (three losses, two reps) train as one queue;
         # one of them fails to prepare and the rest train on

@@ -161,6 +161,14 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             ContaminationSpec(ContaminationKind.Y_CONVEX, **field)
 
+    @pytest.mark.parametrize("mu_out", [0.0, -0.0, -2.0, math.nan])
+    def test_the_attacker_bound_must_be_positive(self, mu_out):
+        with pytest.raises(ValueError, match="^mu_out must be positive"):
+            ContaminationSpec(ContaminationKind.Y_ITERATIVE, r=0.5, mu_out=mu_out)
+        # elsewhere mu_out is the outliers' mean, which may be zero or negative
+        if not math.isnan(mu_out):
+            ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.5, mu_out=mu_out)
+
 
 class TestIterativeAttackerStep:
     def test_equal_losses_example(self):
@@ -205,6 +213,11 @@ class TestIterativeAttackerStep:
             want[attacked] = iterative_attacker_step(preds, losses, list(attacked), eps=0.5)
             got = hook(1, preds, losses, y)
             assert got is not y and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_the_hook_is_not_built_without_a_positive_bound(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            make_iterative_attack_hook(6, np.random.default_rng(0), eps=eps)
 
     def test_step_sorts_the_given_indices(self):
         preds = np.arange(6.0)

@@ -4,11 +4,14 @@ runs or the sweep scheduler that are meant to keep every number must keep
 these digests.
 
 The digests were taken with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 on
-x86-64. Another numpy or BLAS may round a matrix product differently, which
-moves the trajectories of sign-based training; the failure message then
-names both builds.
+an AVX-512 x86-64 machine. Another numpy or BLAS build may round a matrix
+product differently, and so may the same builds on another CPU: numpy picks
+its SIMD loops (exp and log1p among them) and OpenBLAS its kernels by the
+CPU they run on. Either moves the trajectories of sign-based training; the
+failure message then names both builds and what each dispatched to.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -19,7 +22,8 @@ import pytest
 from robustnn import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-TAKEN_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+TAKEN_WITH = ("numpy 2.4.6 (SIMD X86_V2 + X86_V3 X86_V4 AVX512_ICL AVX512_SPR), "
+              "scipy-openblas 0.3.31.188.0 (core SkylakeX)")
 
 # y-iterative attacker, unstandardized responses, shallow and deep networks
 Y_ITERATIVE_DOC = {
@@ -38,9 +42,33 @@ GOLDEN = {
 }
 
 
+def openblas_core() -> str:
+    """The CPU core the loaded OpenBLAS chose its kernels for, or 'unknown'."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return "unknown"
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(dll, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def builds() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    """numpy and BLAS builds, with numpy's SIMD baseline + dispatched
+    extensions and the OpenBLAS core."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config.get("SIMD Extensions", {})
+    return (f"numpy {np.__version__} (SIMD {' '.join(simd.get('baseline', []))} + "
+            f"{' '.join(simd.get('found', []))}), "
+            f"{blas.get('name')} {blas.get('version')} (core {openblas_core()})")
 
 
 @pytest.mark.parametrize("parallel", [1, 2])

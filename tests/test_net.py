@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import backprop, dloss_dprediction
 from robustnn import losses as L
 from robustnn.net import (
     Activation,
     Architecture,
+    BatchKernel,
+    _split,
     count_parameters,
     forward_batch,
     init_weights,
@@ -318,3 +322,57 @@ class TestVectorRoundTrip:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             network_from_vector(make_arch(3, [4]), np.zeros(3))
+
+
+# ten hidden layers of 5, the study's deep networks, and softplus networks,
+# whose derivative scaling goes through the logistic
+KERNEL_ARCHS = [make_arch(3, (5,) * 10), make_arch(3, (5,) * 10, Activation.SOFTPLUS),
+                make_arch(4, (10, 10), Activation.SOFTPLUS), make_arch(2, (3,), Activation.SOFTPLUS)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Slots, rows, a prefix of k slots for the full sum, and a group of
+    adjacent slots with kept-row subsets of one size h, each its own."""
+    arch = draw(st.sampled_from(KERNEL_ARCHS))
+    slots = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, slots))
+    start = draw(st.integers(0, slots - 1))
+    count = draw(st.integers(1, slots - start))
+    h = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return arch, slots, n, k, start, count, h, seed
+
+
+class TestBatchKernelGradientSum:
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases())
+    def test_sums_equal_the_per_instance_oracle(self, case):
+        arch, slots, n, k, start, count, h, seed = case
+        rng = np.random.default_rng(seed)
+        n_params = count_parameters(arch)[2]
+        params = rng.standard_normal((slots, n_params))
+        X = rng.standard_normal((slots, n, arch.input_dim))
+        dloss = rng.standard_normal((slots, n))
+        kernel = BatchKernel(network_from_vector(arch, params, copy=False), X)
+        with np.errstate(over="ignore"):  # the logistic's exp(-a) may overflow to its limit
+            kernel.forward()
+            kernel.output_error[...] = dloss
+            kernel.backward()
+
+        full = np.full((k, n_params), np.nan)
+        assert kernel.gradient_sum(*_split(full, arch.layer_sizes)) == n
+        kept = np.sort(np.stack([rng.permutation(n)[:h] for _ in range(count)]), axis=1)
+        trimmed = np.full((count, n_params), np.nan)
+        rows = kept + np.arange(start, start + count)[:, None] * n
+        assert kernel.gradient_sum(*_split(trimmed, arch.layer_sizes), rows) == h
+
+        for got, b, subset in [(full[b], b, slice(None)) for b in range(k)] + \
+                [(trimmed[j], start + j, kept[j]) for j in range(count)]:
+            net = network_from_vector(arch, params[b])
+            per_instance = backprop(net, X[b], dloss[b])[subset]
+            want = per_instance.sum(axis=0)
+            # both sums round each term and partial sum once or so
+            tol = 1e-12 * np.abs(per_instance).sum(axis=0)
+            assert np.all(np.abs(got - want) <= tol), (b, np.abs(got - want).max())

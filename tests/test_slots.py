@@ -4,6 +4,7 @@ as train gives them alone. run_sweep, which trains its queues through
 train_slots, must give run_single's records."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ def test_every_study_loss_side_by_side():
     check_against_train(jobs, OptimizerSpec(stepmax=150), slots=len(jobs))
 
 
+def test_a_trimmed_run_refilled_between_untrimmed_ones():
+    # slots 0 and 2 train squared and Huber runs; slot 1's run diverges at
+    # epoch 1 and a trimmed run takes its place, so the trimmed run moves
+    # behind the untrimmed ones, which the full gradient sum then covers
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    jobs = make_jobs(arch, np.random.default_rng(21), count=6)
+    losses = [L.LossSpec.squared(), L.LossSpec.squared(), L.LossSpec.huber(),
+              L.LossSpec.trimmed(0.25), L.LossSpec.trimmed(0.1)]
+    order = [jobs[0], jobs[1], jobs[4], jobs[5], jobs[2]]
+    order = [dataclasses.replace(job, loss=loss, tag=(k, job.tag[1]))
+             for k, (job, loss) in enumerate(zip(order, losses))]
+    outcomes = check_against_train(order, OptimizerSpec(stepmax=150), slots=3)
+    first, diverged, huber = outcomes[0], outcomes[1], outcomes[2]
+    assert (diverged.status, diverged.epochs_used) == (TrainStatus.DIVERGED, 1)
+    assert first.epochs_used > 1 and huber.epochs_used > 1
+
+
 def test_rejected_jobs_are_yielded_and_the_rest_train_on():
     arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
     jobs = make_jobs(arch, np.random.default_rng(9), count=5)
@@ -299,28 +317,25 @@ def assert_same_preparation(got, want):
 def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):
     tasks = shared_queue()
     prepared, scenario_calls, held = [], [], []
-    prepare_scenario, prepare_net, get = (E.prepare_scenario, E._prepare_net,
-                                          E._SharedScenarios.get)
+    scenario_of = {}  # id of a preparation -> its scenario's key
+    prepare_scenario, prepare_net = E.prepare_scenario, E._prepare_net
 
     def recording_scenario(cfg, rep):
-        scenario_calls.append(E._scenario_key(cfg, rep))
-        return prepare_scenario(cfg, rep)
+        scenario_calls.append((E._scenario_key(cfg), rep))
+        scenario = prepare_scenario(cfg, rep)
+        scenario_of[id(scenario)] = E._scenario_key(cfg)
+        return scenario
 
     def recording_net(config, rep, scenario):
+        # the preparations _run_queue's job generator holds, by scenario
+        held.append({scenario_of[id(s)]
+                     for s in sys._getframe(1).f_locals["held"].values()})
         prep = prepare_net(config, rep, scenario)
         prepared.append((config.cfg, rep, prep))
         return prep
 
-    def recording_get(self, i):
-        try:
-            return get(self, i)
-        finally:
-            # the scenarios held, each key without its replication
-            held.append({key[:-1] for key in self.held})
-
     monkeypatch.setattr(E, "prepare_scenario", recording_scenario)
     monkeypatch.setattr(E, "_prepare_net", recording_net)
-    monkeypatch.setattr(E._SharedScenarios, "get", recording_get)
     records = E._run_queue(tasks)
     monkeypatch.undo()
 
@@ -338,7 +353,7 @@ def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):
     counts = {k: scenario_calls.count(k) for k in scenario_calls}
     assert sorted(counts.values()) == [1] * 10 + [3] * 2
     # and the queue never held the replications of two scenarios at once
-    assert len(held) == len(tasks) and max(map(len, held)) == 1
+    assert len(held) == len(prepared) and max(map(len, held)) == 1
 
 
 def test_queues_hold_one_shape_and_spread_over_the_workers():
@@ -358,9 +373,29 @@ def test_queues_hold_one_shape_and_spread_over_the_workers():
         owner = {}
         for i, queue in enumerate(queues):
             for cfg, rep in queue:
-                key = (cfg.architecture(), E._scenario_key(cfg, rep))
+                key = (cfg.architecture(), E._scenario_key(cfg), rep)
                 assert owner.setdefault(key, i) == i
     # twelve runs of two shapes, as in the capped wide sweep, still fill two workers
     wide = [dataclasses.replace(cfg, replications=1) for cfg in cfgs[:12]]
     small = [(cfg, 0) for cfg in wide]
     assert len(E._queues(small, 2)) >= 4
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 7, 40])
+def test_queues_keep_task_order(parallelism):
+    # a queue in task order trains each loss's runs side by side and moves
+    # through the scenarios one after the other
+    cfgs = sweep_configs()
+    tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    position = {id(task): i for i, task in enumerate(tasks)}
+    queues = E._queues(tasks, parallelism)
+    for queue in queues:
+        assert queue
+        indices = [position[id(task)] for task in queue]
+        assert indices == sorted(indices)
+    # a shape gets one queue per worker, fewer only if it has fewer runs
+    sizes: dict[tuple, int] = {}
+    for cfg, _ in tasks:
+        shape = (cfg.architecture(), cfg.data.n_train, cfg.resolved_optimizer())
+        sizes[shape] = sizes.get(shape, 0) + 1
+    assert len(queues) == sum(min(parallelism, size) for size in sizes.values())
