@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 LOG_FLOOR = 1e-12  # log scale cannot show a zero mean
 
@@ -54,10 +54,10 @@ def render_bar_chart(title: str, entries: list[BarEntry],
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="26" text-anchor="middle" font-size="15" '
-        f'fill="#222">{escape(title)}</text>',
+        f'fill="#222">{escape(title, quote=False)}</text>',
         f'<text x="20" y="{MARGIN_TOP + chart_h / 2:.1f}" text-anchor="middle" '
         f'font-size="12" fill="#555" '
-        f'transform="rotate(-90 20 {MARGIN_TOP + chart_h / 2:.1f})">{escape(y_label)} (log scale)</text>',
+        f'transform="rotate(-90 20 {MARGIN_TOP + chart_h / 2:.1f})">{escape(y_label, quote=False)} (log scale)</text>',
         f'<line x1="{MARGIN_LEFT}" y1="{baseline}" x2="{WIDTH - MARGIN_RIGHT}" '
         f'y2="{baseline}" stroke="#444" stroke-width="1"/>',
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
@@ -89,7 +89,7 @@ def render_bar_chart(title: str, entries: list[BarEntry],
         cx = MARGIN_LEFT + (i + 0.5) * slot
         parts.append(
             f'<text x="{cx:.1f}" y="{baseline + 18}" text-anchor="middle" '
-            f'font-size="11" fill="#222">{escape(e.label)}</text>')
+            f'font-size="11" fill="#222">{escape(e.label, quote=False)}</text>')
         if e.value is None or e.count == 0:
             continue  # nothing converged: the bar does not exist
         h = height_of(max(e.value, LOG_FLOOR))

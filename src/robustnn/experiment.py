@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +24,7 @@ from .datagen import (
     generate_dataset,
 )
 from .losses import LossKind, LossSpec
-from .net import Activation, Architecture, Network, init_weights, predict
+from .net import Activation, Architecture, Network, Predictor, init_weights
 from .optimizer import (
     DEFAULT_DIVERGE_NORM,
     STEPMAX_DEEP,
@@ -333,8 +332,9 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _record(prep: PreparedRun, outcome: TrainOutcome) -> RunRecord:
-    """The record of a trained run, with its test loss if it converged.
+def _record(prep: PreparedRun, outcome: TrainOutcome, predictor: Predictor) -> RunRecord:
+    """The record of a trained run, with its test loss if it converged,
+    predicted through the given predictor of the run's architecture.
 
     The test set bypasses contamination entirely, which is checked via a
     byte hash; raises HeldOutSetModifiedError if it changed.
@@ -343,7 +343,7 @@ def _record(prep: PreparedRun, outcome: TrainOutcome) -> RunRecord:
     test_loss = None
     if outcome.status == TrainStatus.CONVERGED:
         with np.errstate(over="ignore", invalid="ignore"):
-            preds = predict(outcome.final_net, scenario.test.X)
+            preds = predictor(outcome.final_net, scenario.test.X)
             test_loss = float(np.mean((preds - scenario.y_test) ** 2))
 
     if _fingerprint(scenario.test) != scenario.test_fingerprint:
@@ -370,7 +370,7 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """
     try:
         prep = prepare_run(cfg, rep)
-        return _record(prep, train_run(cfg, prep))
+        return _record(prep, train_run(cfg, prep), Predictor(prep.config.architecture))
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return _error_record(cfg, rep, str(exc))
 
@@ -409,12 +409,13 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
                            epoch_end_hook=prep.scenario.hook, tag=(i, prep))
 
     try:
+        predictor = Predictor(tasks[0][0].architecture())
         for job, outcome in train_slots(jobs(), tasks[0][0].resolved_optimizer()):
             i, prep = job.tag
             try:
                 if isinstance(outcome, Exception):
                     raise outcome
-                records[i] = _record(prep, outcome)
+                records[i] = _record(prep, outcome, predictor)
             except Exception as exc:
                 fail(i, exc)
     except Exception as exc:  # record, never abort the sweep
@@ -464,6 +465,9 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
     if parallelism == 1 or len(queues) <= 1:
         records = [rec for queue in queues for rec in _run_queue(queue)]
     else:
+        # imported here, so that importing robustnn does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             records = [rec for recs in pool.map(_run_queue, queues) for rec in recs]
     records.sort(key=lambda rec: (rec.config_id, rec.rep))

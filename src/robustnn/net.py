@@ -170,10 +170,11 @@ def count_parameters(arch: Architecture) -> tuple[int, int, int]:
     return n_intercepts, n_weights, n_intercepts + n_weights
 
 
-def param_vector(net: Network) -> np.ndarray:
-    """Flatten (intercepts, weights) into one vector, intercepts first."""
+def param_vector(net: Network, out: np.ndarray | None = None) -> np.ndarray:
+    """Flatten (intercepts, weights) into one vector, intercepts first: a
+    new one, or the given one, written in place."""
     return np.concatenate(
-        [v.ravel() for v in net.intercepts] + [w.ravel() for w in net.weights]
+        [v.ravel() for v in net.intercepts] + [w.ravel() for w in net.weights], out=out
     )
 
 
@@ -269,18 +270,33 @@ def _run_backward(steps) -> None:
         scale(d, a, z, tmp)
 
 
+# np.add.reduce sums an intercept gradient wider than 1, a non-contiguous
+# axis, row by row in row order from +0.0, and einsum does the same, but for
+# which NaN it returns. A call of einsum costs about 1 us more and saves
+# about 0.05 us a row (numpy 2.4, 2-core Xeon): from this many rows on, over
+# all slots, it is the faster. A width-1 column is contiguous, which
+# np.add.reduce sums pairwise, so it keeps that.
+_EINSUM_MIN_ROWS = 100
+
+
 def _sum_steps(deltas, inputs) -> list[tuple]:
-    """Per weighted layer: (delta, its transpose, layer input), the arrays
-    a gradient sum reads."""
-    return [(d, d.swapaxes(-1, -2), z) for d, z in zip(deltas, inputs)]
+    """Per weighted layer: (delta, its transpose, layer input, whether its
+    intercept gradient is summed through einsum), what a gradient sum
+    reads."""
+    return [(d, d.swapaxes(-1, -2), z,
+             d.shape[-1] > 1 and d.size >= _EINSUM_MIN_ROWS * d.shape[-1])
+            for d, z in zip(deltas, inputs)]
 
 
 def _gradient_sum(steps, d_weights, d_intercepts) -> int:
     """Sum over rows of the per-instance gradients into the given per-layer
     arrays, each run's rows summed exactly as one run's are; returns the
     number of rows summed."""
-    for (d, dt, z), gw, gb in zip(steps, d_weights, d_intercepts):
-        np.add.reduce(d, axis=-2, out=gb)
+    for (d, dt, z, by_einsum), gw, gb in zip(steps, d_weights, d_intercepts):
+        if by_einsum:
+            np.einsum("...ij->...j", d, out=gb)
+        else:
+            np.add.reduce(d, axis=-2, out=gb)
         np.matmul(dt, z, out=gw)
     return steps[0][0].shape[-2]
 
@@ -373,7 +389,7 @@ class BatchKernel:
                     for a in self._delta_rows + self._input_rows]
             steps = self._gathered[kept.shape] = _sum_steps(
                 [a[:g] for a in full[:layers]], [a[:g] for a in full[layers:]])
-        for (d, _, z), d_rows, z_rows in zip(steps, self._delta_rows, self._input_rows):
+        for (d, _, z, _), d_rows, z_rows in zip(steps, self._delta_rows, self._input_rows):
             d_rows.take(kept, axis=0, out=d, mode="clip")
             z_rows.take(kept, axis=0, out=z, mode="clip")
         return _gradient_sum(steps, d_weights, d_intercepts)
@@ -394,6 +410,38 @@ def forward_batch(net: Network, X) -> BatchTrace:
 def predict(net: Network, X) -> np.ndarray:
     """Predictions for every row of X."""
     return forward_batch(net, X).predictions
+
+
+class Predictor:
+    """predict for many networks of one architecture, through a parameter
+    buffer and, per shape of X, forward arrays allocated once: each call
+    copies the network and X into them and runs the forward pass. The
+    predictions equal predict's bit for bit; they are a buffer that the
+    next call for an X of that shape overwrites. Unlike predict, a call
+    leaves the overflow warning of the logistic's exp(-a) to the caller."""
+
+    def __init__(self, arch: Architecture):
+        self.arch = arch
+        self._params = np.empty(count_parameters(arch)[2])
+        self._net = network_from_vector(arch, self._params, copy=False)
+        self._passes: dict[tuple, tuple] = {}  # X's shape -> (X buffer, steps, predictions)
+
+    def __call__(self, net: Network, X) -> np.ndarray:
+        if net.architecture != self.arch:
+            raise ValueError("network architecture differs from the predictor's")
+        X = np.asarray(X, dtype=np.float64)
+        found = self._passes.get(X.shape)
+        if found is None:
+            if X.ndim != 2 or X.shape[1] != self.arch.input_dim:
+                raise ValueError(f"expected {self.arch.input_dim} input columns, got {X.shape}")
+            pre, acts = _forward_arrays(self.arch, np.empty(X.shape))
+            found = self._passes[X.shape] = (acts[0], _forward_steps(self._net, pre, acts),
+                                             acts[-1][:, 0])
+        x, steps, predictions = found
+        param_vector(net, out=self._params)
+        np.copyto(x, X)
+        _run_forward(steps)
+        return predictions
 
 
 def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarray]:

@@ -157,14 +157,14 @@ def _as_xy(data):
 
 
 # Runs train_slots trains side by side unless told otherwise. Measured on
-# the desk make-up (p=5, n=150, 181 parameters, Rprop+, six losses) on a
-# shared 2-core Xeon with numpy 2.4 and OpenBLAS 0.3.31: training 600 runs
-# took 1.43-1.51x less time than one at a time at 2 slots, 1.68-1.87x at 4,
-# 1.75-2.02x at 6, 1.80-2.07x at 8, 1.82-2.12x at 12 and 1.57-1.96x at 24,
-# where the stacked arrays outgrow the cache. The whole 2400-run sweep on
-# two workers took 4.84 s at 4 slots and 4.63-4.77 s at 6, 8 and 12, alike
-# within noise, so the smallest of those keeps the fewest runs in memory.
-SLOTS = 6
+# the desk-sweep benchmark (2400 runs of p=5, n=150, 181 parameters, Rprop+,
+# six losses, run --parallel 2) on a shared 2-core Xeon with numpy 2.4 and
+# OpenBLAS 0.3.31, in alternating pairs at one seed: 12 slots against 6 won
+# 4 of 4 pairs, 620 -> 652 runs/s in the median. Against 12, in 3 pairs
+# each, 8 slots read 617 runs/s (12: 669), 16 read 659 (666) and 24 read
+# 671 (664): alike within noise, so 12 keeps fewer runs in memory than the
+# larger counts for the same speed.
+SLOTS = 12
 
 
 @dataclass
@@ -184,21 +184,17 @@ class TrainJob:
 
 
 def _checked(job: TrainJob):
-    """The job's inputs as float arrays, its flat parameters and their norm;
-    raises ValueError for inputs train rejects."""
+    """The job's inputs as float arrays, copied only if they are not
+    already; raises ValueError for inputs train rejects."""
     arch = job.net.architecture
     X, Y = _as_xy(job.data)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.array(Y, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != arch.input_dim or Y.shape != (X.shape[0],):
         raise ValueError("data shapes do not match the network architecture")
     if X.shape[0] == 0:
         raise ValueError("training data must be non-empty")
-    params = param_vector(job.net)
-    norm0 = float(np.linalg.norm(params))
-    if not norm0 < job.diverge_norm:
-        raise ValueError("diverge_norm must exceed the initial weight norm")
-    return X, Y, params, norm0
+    return X, Y
 
 
 class _Slot:
@@ -217,7 +213,7 @@ class _LossGroup:
     """The adjacent live slots [start, start + count) that share one loss:
     per epoch, their per-instance losses, objectives, dL/dyhat and, for a
     trimmed loss, their kept rows, read and written through views of the
-    stacked arrays."""
+    stacked arrays and buffers allocated once."""
 
     def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
         n, end = batch.n, start + count
@@ -226,30 +222,33 @@ class _LossGroup:
         self.adaptive = spec.adaptive_huber
         self.constant = None if self.adaptive else L._constant(spec, None)
         self.kth = L._median_kth(n)
-        self.abs_r = np.empty((count, n)) if self.adaptive else None
+        self.per, self.tmp = np.empty((count, n)), np.empty((count, n))
+        self.mask = np.empty((count, n), dtype=bool)
+        if self.adaptive:
+            self.delta, self.nan = np.empty((count, 1)), np.empty((count, 1), dtype=bool)
         self.h = L.trim_count(n, spec.trim_alpha) if spec.is_trimmed else None
         # a row of the group's losses -> that row in the kernel's (B*n) rows
         self.row_shift = start * n
         self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
         self.grad = batch.grad[start:end]
         self.grad_weights, self.grad_intercepts = _split(self.grad, batch.arch.layer_sizes)
-        self.per = self.kept = None
+        self.kept = None
 
     def losses(self) -> list[float]:
         """Per-instance losses and dL/dyhat of the group's runs, and their
         kept rows if trimmed; returns each run's objective, the sum of its
         (kept) losses."""
-        r, c = self.r, self.constant
+        r, c, per, tmp, mask = self.r, self.constant, self.per, self.tmp, self.mask
         if self.adaptive:
-            c = L._floored_median(np.abs(r, out=self.abs_r), self.kth)
-        per = self.per = self.value(r, c)
+            c = L._floored_median(np.abs(r, out=tmp), self.kth, self.delta, self.nan)
+        self.value(r, c, per, tmp, mask)
         if self.h is None:
             sums = np.add.reduce(per, axis=1)
         else:
             kept = L._trim_rows(per, self.h)
             self.kept = kept + self.row_shift
             sums = np.add.reduce(per.take(kept), axis=1)
-        np.negative(self.gradient(r, c), out=self.error)
+        np.negative(self.gradient(r, c, self.error, tmp, mask), out=self.error)
         return sums.tolist()
 
 
@@ -274,6 +273,10 @@ class _Slots:
         self.rows = np.empty((capacity, 1))
         self.kernel = BatchKernel(network_from_vector(arch, self.params, copy=False), self.X)
         self.slots: list[_Slot | None] = []
+        # the loss of each slot's run, or of its last run while it is free
+        self.losses: list[L.LossSpec] = []
+        # whether the slots still hold the losses arrange() last laid out
+        self.settled = False
         self.groups: list[_LossGroup] = []
         self.epoch = 0
         self.live = self.untrimmed = None
@@ -281,19 +284,32 @@ class _Slots:
     def has_room(self) -> bool:
         return len(self.slots) < self.capacity or None in self.slots
 
-    def load(self, job: TrainJob, checked) -> None:
-        """Put a checked job into the first free slot."""
-        X, Y, params, norm0 = checked
+    def load(self, job: TrainJob, X: np.ndarray, Y: np.ndarray) -> None:
+        """Put a job, its inputs checked, into a free slot: one whose last
+        run had the job's loss if there is one, which leaves the layout as it
+        was. The job's parameters, inputs and responses are copied straight
+        into the slot's rows. Raises ValueError, and leaves the slot free,
+        for a run of another shape or one whose initial norm is not below
+        its divergence level."""
         if job.net.architecture != self.arch or X.shape[0] != self.n:
             raise ValueError("run shape differs from the shape of the other runs")
+        free = [b for b, slot in enumerate(self.slots) if slot is None]
+        b = next((b for b in free if self.losses[b] == job.loss),
+                 free[0] if free else len(self.slots))
+        params = param_vector(job.net, out=self.params[b])
+        norm0 = math.sqrt(params.dot(params))  # as np.linalg.norm computes it
+        if not norm0 < job.diverge_norm:
+            raise ValueError("diverge_norm must exceed the initial weight norm")
         slot = _Slot(job, self.epoch + 1, norm0)
-        if None in self.slots:
-            b = self.slots.index(None)
-            self.slots[b] = slot
-        else:
-            b = len(self.slots)
+        if b == len(self.slots):
             self.slots.append(slot)
-        self.params[b] = params
+            self.losses.append(job.loss)
+            self.settled = False
+        else:
+            self.slots[b] = slot
+            if self.losses[b] != job.loss:
+                self.losses[b] = job.loss
+                self.settled = False
         self.steps[b] = self.spec.delta0
         self.signs[b] = 0.0
         self.X[b] = X
@@ -302,8 +318,13 @@ class _Slots:
 
     def arrange(self) -> None:
         """Move the occupied slots to the front, each loss's slots side by
-        side and the untrimmed losses first: a stable sort on (trimmed,
-        first slot of the loss). Each run's stacked rows move with it."""
+        side and the untrimmed losses first, and lay the views, update and
+        loss groups over them. The order is a stable sort on (trimmed, first
+        slot of the loss), and each run's stacked rows move with it. When
+        every slot was refilled with a run of its last run's loss, nothing
+        moves and everything laid out before stays."""
+        if self.settled and None not in self.slots:
+            return
         occupied = [(b, slot.job.loss) for b, slot in enumerate(self.slots) if slot is not None]
         first = {loss: b for b, loss in reversed(occupied)}
         occupied.sort(key=lambda item: (item[1].is_trimmed, first[item[1]]))
@@ -313,10 +334,9 @@ class _Slots:
         for a in (self.params, self.steps, self.signs, self.X, self.Y, self.rows):
             a[moved] = a[take]
         self.slots = [self.slots[src] for src in source]
+        self.losses = [loss for _, loss in occupied]
+        self.settled = True
 
-    def prepare(self) -> None:
-        """Views, loss groups and callback lists for the occupied slots,
-        as arrange() left them."""
         live = len(self.slots)
         if live != self.live:
             self.live = live
@@ -325,10 +345,9 @@ class _Slots:
                                            self.steps[:live], self.signs[:live])
             self.param_rows = list(self.params[:live])
         spans: dict[L.LossSpec, list[int]] = {}
-        for b, slot in enumerate(self.slots):
-            spans.setdefault(slot.job.loss, [b, 0])[1] += 1
-        # a run that ends is mostly replaced by one of the same loss, which
-        # leaves its group as it was
+        for b, loss in enumerate(self.losses):
+            spans.setdefault(loss, [b, 0])[1] += 1
+        # a group whose slots did not move keeps its buffers
         known = {(g.spec, g.start, g.count): g for g in self.groups}
         self.groups = [known.get((spec, start, count)) or _LossGroup(self, spec, start, count)
                        for spec, (start, count) in spans.items()]
@@ -339,6 +358,10 @@ class _Slots:
             self.untrimmed = untrimmed
             self.grad_weights, self.grad_intercepts = _split(self.grad[:untrimmed],
                                                              self.arch.layer_sizes)
+
+    def prepare(self) -> None:
+        """The callback lists and epoch cap of the runs in the slots, as
+        arrange() left them."""
         self.recording = [(b, slot.norms) for b, slot in enumerate(self.slots)
                           if slot.norms is not None]
         self.transformed = [(b, slot.job.grad_transform) for b, slot in enumerate(self.slots)
@@ -476,10 +499,10 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
             if job is None:
                 break
             try:
-                checked = _checked(job)
+                X, Y = _checked(job)
                 if batch is None:
-                    batch = _Slots(job.net.architecture, checked[0].shape[0], spec, slots)
-                batch.load(job, checked)
+                    batch = _Slots(job.net.architecture, X.shape[0], spec, slots)
+                batch.load(job, X, Y)
             except ValueError as exc:
                 yield job, exc
         if batch is None:

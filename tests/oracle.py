@@ -5,8 +5,9 @@ net.BatchKernel. This module builds one flat gradient per instance in
 param_vector layout, reduces them with a plain loop (mean, or trimmed mean
 over the instances with the smallest losses), and applies the optimizer's
 own update rule to copies of the parameters, so tests can compare the
-fused route against an instance-by-instance one. rprop_plus_reference is
-Rprop+ one parameter at a time, for tests of that update rule itself.
+fused route against an instance-by-instance one. intercept_sum is the
+summation order of an intercept gradient, spelled out. rprop_plus_reference
+is Rprop+ one parameter at a time, for tests of that update rule itself.
 """
 
 from __future__ import annotations
@@ -70,6 +71,27 @@ def aggregate_gradients(per_instance: np.ndarray, per_instance_losses,
     for g in chosen[1:]:
         total += g
     return total / len(chosen)
+
+
+def intercept_sum(d: np.ndarray) -> np.ndarray:
+    """Sum of a (slots, rows, width) array of error terms over its rows,
+    one slot at a time, as train sums one run's intercept gradient: a width
+    above 1 row by row in row order from +0.0, and a width-1 column as
+    np.add.reduce sums one contiguous vector (pairwise)."""
+    if d.shape[-1] == 1:
+        return np.array([[np.add.reduce(column[:, 0])] for column in d])
+    total = np.zeros((d.shape[0], d.shape[-1]))
+    for i in range(d.shape[1]):
+        total = total + d[:, i, :]
+    return total
+
+
+def canonical_bytes(x) -> bytes:
+    """x's bytes with every NaN made the one NaN: two numpy routines that
+    agree in every value may still return different operands' NaN."""
+    x = np.array(x, dtype=np.float64)
+    x[np.isnan(x)] = np.nan
+    return x.tobytes()
 
 
 @dataclass

@@ -2,10 +2,12 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
 
 from robustnn import cli
+from robustnn.barchart import BarEntry, render_bar_chart
 from robustnn import experiment as exp
 from robustnn.experiment import RunRecord, run_single, run_sweep
 
@@ -325,6 +327,17 @@ class TestCmdReport:
         labels = [t.text for t in root.findall(f"{ns}text")]
         assert "Inf" in labels
         assert "Huber" in labels and "Squared" in labels
+
+    def test_chart_text_is_escaped_as_xml_text(self):
+        # &, < and > become entities, quotes stay, as xml.sax.saxutils.escape
+        # has it
+        odd = """a&b <c> "d" 'e'"""
+        svg = render_bar_chart(odd, [BarEntry(odd, 1.0, 2, False)], y_label=odd)
+        want = saxutils.escape(odd)
+        assert want == "a&amp;b &lt;c&gt; \"d\" 'e'"
+        assert svg.count(f">{want}</text>") == 2 and f">{want} (log scale)</text>" in svg
+        texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(odd) == 2 and f"{odd} (log scale)" in texts
 
     def test_empty_summary_is_a_noop(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"

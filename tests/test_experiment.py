@@ -118,11 +118,15 @@ class TestRunSingle:
 
     def test_modified_test_set_is_recorded_as_error(self, monkeypatch):
         # the check is an explicit raise, so it also holds under python -O
-        def tampering_predict(net, X):
-            X[0, 0] += 1.0
-            return np.zeros(X.shape[0])
+        class TamperingPredictor:
+            def __init__(self, arch):
+                pass
 
-        monkeypatch.setattr(E, "predict", tampering_predict)
+            def __call__(self, net, X):
+                X[0, 0] += 1.0
+                return np.zeros(X.shape[0])
+
+        monkeypatch.setattr(E, "Predictor", TamperingPredictor)
         rec = E.run_single(small_config(stepmax=100_000), 0)
         assert rec.status == E.STATUS_ERROR
         assert not rec.converged and rec.test_loss is None

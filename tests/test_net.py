@@ -2,21 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import backprop, dloss_dprediction
+from oracle import backprop, canonical_bytes, dloss_dprediction, intercept_sum
 from robustnn import losses as L
 from robustnn.net import (
     Activation,
     Architecture,
     BatchKernel,
+    Predictor,
     _split,
     count_parameters,
     forward_batch,
     init_weights,
     network_from_vector,
     param_vector,
+    predict,
     weight_vec_norm,
 )
 
@@ -376,3 +378,78 @@ class TestBatchKernelGradientSum:
             # both sums round each term and partial sum once or so
             tol = 1e-12 * np.abs(per_instance).sum(axis=0)
             assert np.all(np.abs(got - want) <= tol), (b, np.abs(got - want).max())
+
+
+SUM_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def sum_cases(draw):
+    """Two layer widths (the output layer adds a width of 1), rows, slots,
+    a prefix of k slots, G slots with h kept rows each, the share of
+    special values among the error terms and a seed."""
+    widths = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    n = draw(st.integers(1, 1200))
+    slots = draw(st.integers(1, 24))
+    k = draw(st.integers(1, slots))
+    g = draw(st.integers(1, slots))
+    h = draw(st.integers(1, n))
+    share = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+    return widths, n, slots, k, g, h, share, draw(st.integers(0, 2**32 - 1))
+
+
+class TestInterceptSum:
+    @settings(max_examples=50, deadline=None)
+    @given(case=sum_cases())
+    @example(case=((12, 12), 1200, 24, 24, 24, 1200, 0.01, 1))
+    @example(case=((1, 2), 1200, 24, 7, 13, 600, 0.3, 2))
+    def test_full_and_gathered_sums_add_the_rows_in_order(self, case):
+        widths, n, slots, k, g, h, share, seed = case
+        rng = np.random.default_rng(seed)
+        arch = make_arch(2, widths)
+        n_params = count_parameters(arch)[2]
+        kernel = BatchKernel(network_from_vector(arch, np.zeros((slots, n_params)), copy=False),
+                             np.zeros((slots, n, 2)))
+        for z in kernel.acts[1:]:
+            z[...] = 0.0
+        for d in kernel.deltas:
+            d[...] = rng.standard_normal(d.shape) * 10.0 ** rng.integers(-3, 4, d.shape)
+            special = rng.random(d.shape) < share
+            d[special] = rng.choice(SUM_SPECIALS, np.count_nonzero(special))
+
+        full = np.full((k, n_params), 7.0)
+        group = np.sort(rng.choice(slots, g, replace=False))
+        kept = np.sort(np.stack([rng.choice(n, h, replace=False) for _ in group]), axis=1)
+        gathered = np.full((g, n_params), 7.0)
+        with np.errstate(all="ignore"):
+            assert kernel.gradient_sum(*_split(full, arch.layer_sizes)) == n
+            assert kernel.gradient_sum(*_split(gathered, arch.layer_sizes),
+                                       kept + group[:, None] * n) == h
+            for layer, d in enumerate(kernel.deltas):
+                want_full = intercept_sum(d[:k])
+                want_gathered = intercept_sum(
+                    np.stack([d[b][rows] for b, rows in zip(group, kept)]))
+                got_full = _split(full, arch.layer_sizes)[1][layer]
+                got_gathered = _split(gathered, arch.layer_sizes)[1][layer]
+                assert canonical_bytes(got_full) == canonical_bytes(want_full), layer
+                assert canonical_bytes(got_gathered) == canonical_bytes(want_gathered), layer
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("arch", KERNEL_ARCHS + [make_arch(5, (10, 10))])
+    def test_predictions_equal_predict_bit_for_bit(self, arch):
+        rng = np.random.default_rng(len(arch.hidden_sizes))
+        predictor = Predictor(arch)
+        for rows in (50, 7, 50, 1):
+            net = init_weights(arch, rng)
+            X = rng.standard_normal((rows, arch.input_dim)) * 30.0
+            with np.errstate(over="ignore"):
+                got = predictor(net, X).copy()
+            assert got.tobytes() == predict(net, X).tobytes()
+        assert len(predictor._passes) == 3
+
+    def test_a_network_of_another_architecture_is_rejected(self):
+        predictor = Predictor(make_arch(3, (4,)))
+        net = init_weights(make_arch(3, (4,), Activation.SOFTPLUS), np.random.default_rng(1))
+        with pytest.raises(ValueError, match="architecture"):
+            predictor(net, np.zeros((2, 3)))

@@ -1,6 +1,8 @@
 """Property tests of the two order-statistic selectors the trainer runs every
 epoch, against the numpy routines they replace: the stable-argsort trim
-selection and np.median for the adaptive Huber threshold."""
+selection and np.median for the adaptive Huber threshold; and of the
+trainer's loss groups, which compute every loss for several runs at once
+into buffers of their own, against the one-run loss functions."""
 
 import math
 
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracle import canonical_bytes
 from robustnn import losses as L
+from robustnn.net import Architecture
+from robustnn.optimizer import OptimizerSpec, _LossGroup, _Slots
 
 # few distinct values, so ties are the rule rather than the exception
 TIE_POOL = [0.0, -0.0, 1.0, 2.5, -3.0, 1e300, -1.7e308, np.inf, -np.inf, np.nan]
@@ -107,3 +112,41 @@ def test_row_wise_median_equals_floored_np_median(r):
             expected = max(float(np.median(np.abs(row))), L.HUBER_DELTA_FLOOR)
             assert same_bits(got[j, 0], expected) or (math.isnan(got[j, 0])
                                                      and math.isnan(expected))
+
+
+GROUP_LOSSES = [L.LossSpec.huber(), L.LossSpec.huber(1.5), L.LossSpec.squared(),
+                L.LossSpec.tukey(), L.LossSpec.trimmed(0.25), L.LossSpec.trimmed(0.5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=float_rows(6, 41), loss=st.sampled_from(GROUP_LOSSES), epochs=st.integers(1, 3))
+@example(r=np.array([[1.0, np.nan, 3.0], [1.0, 1.0, 1.0], [2.0, -2.0, 2.0]]),
+         loss=L.LossSpec.huber(), epochs=1)
+@example(r=np.array([[np.inf, -np.inf, 0.0, -0.0], [5e-324, 0.0, 0.0, 1e300]]),
+         loss=L.LossSpec.huber(), epochs=2)
+def test_a_loss_group_computes_what_the_loss_functions_compute(r, loss, epochs):
+    # the group's rows of losses, dL/dyhat and objectives, and its Huber
+    # threshold, are those of each row alone, epoch after epoch through the
+    # same buffers: the same bytes, but for which NaN a NaN is (a clip at a
+    # NaN threshold returns another operand's NaN for a column of them)
+    rows, n = r.shape
+    batch = _Slots(Architecture(2, (3,)), n, OptimizerSpec(), rows + 1)
+    group = _LossGroup(batch, loss, 1, rows)
+    for epoch in range(epochs):
+        rolled = np.roll(r, epoch, axis=1)
+        batch.r[1:] = rolled
+        with np.errstate(all="ignore"):
+            sums = group.losses()
+            for j, row in enumerate(rolled):
+                delta = L.adaptive_huber_delta(row) if loss.adaptive_huber else None
+                if loss.adaptive_huber:
+                    assert canonical_bytes(group.delta[j, 0]) == canonical_bytes(delta)
+                per = L.loss_value(loss, row, delta)
+                assert canonical_bytes(group.per[j]) == canonical_bytes(per)
+                assert canonical_bytes(group.error[j]) == \
+                    canonical_bytes(-L.loss_gradient(loss, row, delta))
+                if loss.is_trimmed:
+                    kept = L.trimmed_select(per, loss.trim_alpha).kept_indices
+                    np.testing.assert_array_equal(group.kept[j], kept + (1 + j) * n)
+                    per = per[kept]
+                assert canonical_bytes(sums[j]) == canonical_bytes(np.add.reduce(per))

@@ -3,6 +3,7 @@ refilled as runs end and drained at the end, must each come out bit for bit
 as train gives them alone. run_sweep, which trains its queues through
 train_slots, must give run_single's records."""
 
+import collections
 import dataclasses
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from robustnn import experiment as E
 from robustnn import losses as L
+from robustnn import optimizer as O
 from robustnn.contamination import (
     ContaminationKind,
     ContaminationSpec,
@@ -20,6 +22,7 @@ from robustnn.contamination import (
 from robustnn.datagen import DataGenSpec, Structure, generate_dataset
 from robustnn.net import Activation, Architecture, init_weights, param_vector
 from robustnn.optimizer import (
+    SLOTS,
     OptimizerSpec,
     Rule,
     TrainJob,
@@ -154,7 +157,7 @@ def test_slots_match_train_run_by_run(rule, activation, depth):
     assert len({o.epochs_used for o in outcomes.values()}) > 2
 
 
-@pytest.mark.parametrize("slots", [1, 2, 3, 6, 20])
+@pytest.mark.parametrize("slots", sorted({1, 2, 3, 6, SLOTS, 20}))
 def test_slot_count_does_not_change_outcomes(slots):
     arch = Architecture(3, (6, 4), Activation.LOGISTIC, Activation.IDENTITY)
     jobs = make_jobs(arch, np.random.default_rng(slots), count=12, n=30)
@@ -184,6 +187,61 @@ def test_a_trimmed_run_refilled_between_untrimmed_ones():
     first, diverged, huber = outcomes[0], outcomes[1], outcomes[2]
     assert (diverged.status, diverged.epochs_used) == (TrainStatus.DIVERGED, 1)
     assert first.epochs_used > 1 and huber.epochs_used > 1
+
+
+def test_a_refill_with_the_loss_it_replaces_moves_nothing(monkeypatch):
+    # each run that ends is replaced by a run of its loss, as in a queue in
+    # configuration order: the refill keeps every loss group, the update and
+    # every stacked row where they were. The squared and Huber runs that
+    # train first both diverge at epoch 1, and the Huber run is replaced
+    # first, so it must go to the slot the Huber run left, not to the first
+    # free one.
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    losses = [L.LossSpec.squared(), L.LossSpec.huber(), L.LossSpec.trimmed(0.25)]
+    jobs = make_jobs(arch, np.random.default_rng(23), count=18)
+    order = [1, 7, 0] + [k for k in range(18) if k not in (0, 1, 7)]  # 1 and 7 diverge
+    pools = {loss: collections.deque() for loss in losses}
+    for k, i in enumerate(order):
+        pools[losses[k % 3]].append(dataclasses.replace(jobs[i], loss=losses[k % 3]))
+    ended = []
+
+    def source():
+        yield from (pools[loss].popleft() for loss in losses)
+        while ended:
+            pool = pools[ended.pop()]  # the runs that ended last first
+            if pool:
+                yield pool.popleft()
+
+    unmoved, before = [], []
+    arrange, prepare = O._Slots.arrange, O._Slots.prepare
+
+    def recording_arrange(batch):
+        before[:] = [(list(batch.slots), list(batch.groups), batch.update, batch.params.copy(),
+                      batch.X.copy(), batch.Y.copy())] if batch.groups and None not in batch.slots \
+            else []
+        arrange(batch)
+
+    def checked_prepare(batch):
+        prepare(batch)
+        if before:
+            (slots, groups, update, params, X, Y), = before
+            assert all(a is b for a, b in zip(batch.slots, slots))
+            assert len(batch.groups) == 3 and all(a is b for a, b in zip(batch.groups, groups))
+            assert batch.update is update
+            for a, b in ((batch.params, params), (batch.X, X), (batch.Y, Y)):
+                assert a.tobytes() == b.tobytes()
+            unmoved.append(len(batch.slots))
+
+    monkeypatch.setattr(O._Slots, "arrange", recording_arrange)
+    monkeypatch.setattr(O._Slots, "prepare", checked_prepare)
+    spec = OptimizerSpec(stepmax=100)
+    trained = 0
+    for job, outcome in train_slots(source(), spec, slots=3):
+        ended.append(job.loss)
+        assert_same_outcome(outcome, train(job.net, job.data, job.loss, spec, **job.tag[1]()))
+        trained += 1
+    assert trained == 18 - sum(map(len, pools.values())) >= 12
+    assert len(unmoved) >= 5 and set(unmoved) == {3}
 
 
 def test_rejected_jobs_are_yielded_and_the_rest_train_on():
