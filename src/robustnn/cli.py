@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from . import experiment as exp
 from .experiment import (
     LOSS_LABELS,
     LOSS_ORDER,
+    Cell,
     CellSummary,
     Depth,
     ExperimentConfig,
@@ -42,18 +43,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-RESULTS_HEADER = [
-    "config_id", "structure", "n", "p", "activation", "depth", "standardized",
-    "cont_kind", "r", "mu_out", "loss", "rep", "seed", "converged", "status",
-    "epochs", "test_loss", "test_loss_finite", "sup_weight_norm", "breakdown",
+RESULTS_HEADER = [f.name for f in fields(Cell)] + [
+    "rep", "seed", "converged", "status", "epochs", "test_loss",
+    "test_loss_finite", "sup_weight_norm", "breakdown",
 ]
 
-SUMMARY_HEADER = [
-    "config_id", "structure", "n", "p", "activation", "depth", "standardized",
-    "cont_kind", "r", "mu_out", "loss", "replications", "n_converged",
-    "n_inf_losses", "mean_finite_test_loss", "mean_epochs_converged",
-    "breakdown_rate_surrogate",
-]
+SUMMARY_HEADER = [f.name for f in fields(CellSummary)]
 
 
 class ConfigError(ValueError):
@@ -312,12 +307,16 @@ def fmt_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def record_row(rec: RunRecord) -> list[str]:
+def _cell_row(c: Cell) -> list[str]:
     return [
-        rec.config_id, rec.structure, str(rec.n), str(rec.p), rec.activation,
-        rec.depth, fmt_bool(rec.standardized), rec.cont_kind, fmt_float(rec.r),
-        fmt_float(rec.mu_out), rec.loss, str(rec.rep), str(rec.seed),
-        fmt_bool(rec.converged), rec.status, str(rec.epochs),
+        c.config_id, c.structure, str(c.n), str(c.p), c.activation, c.depth,
+        fmt_bool(c.standardized), c.cont_kind, fmt_float(c.r), fmt_float(c.mu_out), c.loss,
+    ]
+
+
+def record_row(rec: RunRecord) -> list[str]:
+    return _cell_row(rec) + [
+        str(rec.rep), str(rec.seed), fmt_bool(rec.converged), rec.status, str(rec.epochs),
         fmt_float(rec.test_loss), fmt_bool(rec.test_loss_finite),
         fmt_float(rec.sup_weight_norm), fmt_bool(rec.breakdown),
     ]
@@ -336,11 +335,8 @@ def write_summary_csv(cells: list[CellSummary], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         for c in cells:
-            writer.writerow([
-                c.config_id, c.structure, str(c.n), str(c.p), c.activation,
-                c.depth, fmt_bool(c.standardized), c.cont_kind, fmt_float(c.r),
-                fmt_float(c.mu_out), c.loss, str(c.replications),
-                str(c.n_converged), str(c.n_inf_losses),
+            writer.writerow(_cell_row(c) + [
+                str(c.replications), str(c.n_converged), str(c.n_inf_losses),
                 fmt_float(c.mean_finite_test_loss),
                 fmt_float(c.mean_epochs_converged),
                 fmt_float(c.breakdown_rate_surrogate),
@@ -401,13 +397,6 @@ def _scenario_key(row: dict) -> tuple:
             row["mu_out"], row["activation"], row["depth"], row["standardized"])
 
 
-def _scenario_slug(key: tuple) -> str:
-    structure, n, p, kind, r, mu, activation, depth, std = key
-    std_tok = "std" if std == "true" else "raw"
-    return (f"{structure}_n{n}_p{p}_{kind}_r{float(r):g}_m{float(mu):g}"
-            f"_{activation}_{depth}_{std_tok}")
-
-
 def cmd_report(summary_path, out_dir) -> int:
     summary_path = Path(summary_path)
     if not summary_path.exists():
@@ -447,7 +436,8 @@ def cmd_report(summary_path, out_dir) -> int:
                     inf_flag=int(row["n_inf_losses"]) > 0,
                 ))
                 data_rows.append(row)
-            slug = _scenario_slug(key)
+            # the config id without its loss: the configuration's scenario_id
+            slug = group[0]["config_id"].removesuffix(f"_{group[0]['loss']}")
             svg = render_bar_chart(slug, entries)
             (out / f"chart_{slug}.svg").write_text(svg)
         with (out / "report_data.csv").open("w", newline="") as fh:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -142,8 +142,8 @@ def _cont_key(c: ContaminationSpec) -> str:
 
 
 @dataclass
-class RunRecord:
-    """One training run, flattened for CSV output."""
+class Cell:
+    """The fields that name one configuration cell, flattened for CSV output."""
 
     config_id: str
     structure: str
@@ -156,6 +156,12 @@ class RunRecord:
     r: float
     mu_out: float
     loss: str
+
+
+@dataclass
+class RunRecord(Cell):
+    """One training run, flattened for CSV output."""
+
     rep: int
     seed: int
     converged: bool
@@ -475,20 +481,9 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
 
 
 @dataclass
-class CellSummary:
+class CellSummary(Cell):
     """Aggregated metrics of one configuration cell."""
 
-    config_id: str
-    structure: str
-    n: int
-    p: int
-    activation: str
-    depth: str
-    standardized: bool
-    cont_kind: str
-    r: float
-    mu_out: float
-    loss: str
     replications: int
     n_converged: int
     n_inf_losses: int
@@ -515,19 +510,8 @@ def summarize(records: list[RunRecord]) -> list[CellSummary]:
         converged = [rec for rec in recs if rec.converged]
         finite = [rec.test_loss for rec in converged if rec.test_loss_finite]
         n_inf = sum(1 for rec in converged if not rec.test_loss_finite)
-        first = recs[0]
         out.append(CellSummary(
-            config_id=config_id,
-            structure=first.structure,
-            n=first.n,
-            p=first.p,
-            activation=first.activation,
-            depth=first.depth,
-            standardized=first.standardized,
-            cont_kind=first.cont_kind,
-            r=first.r,
-            mu_out=first.mu_out,
-            loss=first.loss,
+            **{f.name: getattr(recs[0], f.name) for f in fields(Cell)},
             replications=v,
             n_converged=len(converged),
             n_inf_losses=n_inf,

@@ -83,26 +83,16 @@ def _median_kth(n: int) -> list[int]:
     return sorted({m, n - 1} if n % 2 else {m - 1, m, n - 1})
 
 
-def _floored_median(a: np.ndarray, kth, out=None, nan=None) -> np.ndarray:
+def _floored_median(a: np.ndarray, kth) -> np.ndarray:
     """Median of each row of a 2-D array, floored at HUBER_DELTA_FLOOR, as
     a (rows, 1) column; reorders the rows in place. Equal to np.median of
     each row: the middle value or (a+b)/2 of the middle pair, NaN if any
-    value of the row is NaN. The column is written into out, and nan, a
-    boolean column, is scratch; both are allocated if not given."""
-    if out is None:
-        out, nan = np.empty((a.shape[0], 1)), np.empty((a.shape[0], 1), dtype=bool)
+    value of the row is NaN."""
     a.partition(kth, axis=-1)
     m = a.shape[-1] // 2
-    if a.shape[-1] % 2:
-        np.maximum(a[:, m:m + 1], HUBER_DELTA_FLOOR, out=out)
-    else:
-        np.add(a[:, m - 1:m], a[:, m:m + 1], out=out)
-        np.divide(out, 2, out=out)
-        np.maximum(out, HUBER_DELTA_FLOOR, out=out)
+    median = a[:, m:m + 1] if a.shape[-1] % 2 else (a[:, m - 1:m] + a[:, m:m + 1]) / 2
     last = a[:, -1:]
-    np.not_equal(last, last, out=nan)
-    np.copyto(out, last, where=nan)
-    return out
+    return np.where(last != last, last, np.maximum(median, HUBER_DELTA_FLOOR))
 
 
 def adaptive_huber_delta(residuals) -> float:
@@ -122,64 +112,34 @@ def _resolve_delta(spec: LossSpec, delta: float | None) -> float:
 
 
 # Elementwise (value, dL/dr) kernels of residual r and the loss's constant
-# c: the Huber threshold delta (a number, or a column with one per row of
-# r), the Tukey k, unused otherwise. Each writes its result into out and
-# returns it; tmp and mask, float and boolean arrays of r's shape, are
-# scratch. The arithmetic is that of the np.where expressions in the
-# comments, operation for operation.
+# c: the Huber threshold delta, the Tukey k, unused otherwise.
 
-def _squared(r, c, out, tmp, mask):
-    return np.multiply(r, r, out=out)
+def _squared(r, c):
+    return r * r
 
 
-def _squared_grad(r, c, out, tmp, mask):
-    return np.multiply(2.0, r, out=out)
+def _squared_grad(r, c):
+    return 2.0 * r
 
 
-def _huber(r, d, out, tmp, mask):
-    # np.where(|r| <= d, 0.5 * r * r, d * |r| - 0.5 * d * d)
-    a = np.abs(r, out=tmp)
-    np.less_equal(a, d, out=mask)
-    np.multiply(d, a, out=out)
-    np.subtract(out, 0.5 * d * d, out=out)
-    np.multiply(0.5, r, out=tmp)
-    np.multiply(tmp, r, out=tmp)
-    np.copyto(out, tmp, where=mask)
-    return out
+def _huber(r, d):
+    a = np.abs(r)
+    return np.where(a <= d, 0.5 * r * r, d * a - 0.5 * d * d)
 
 
-def _huber_grad(r, d, out, tmp, mask):
+def _huber_grad(r, d):
     # r inside [-delta, delta], delta * sign(r) outside: exactly a clip
-    return np.clip(r, -d, d, out=out)
+    return np.clip(r, -d, d)
 
 
-def _tukey_u(r, k, tmp, mask):
-    """mask = |r| <= k and tmp = u = 1 - (r/k)^2."""
-    np.less_equal(np.abs(r, out=tmp), k, out=mask)
-    np.divide(r, k, out=tmp)
-    np.square(tmp, out=tmp)
-    return np.subtract(1.0, tmp, out=tmp)
+def _tukey(r, k):
+    u = 1.0 - (r / k) ** 2
+    return np.where(np.abs(r) <= k, 1.0 - u * u * u, 1.0)
 
 
-def _tukey(r, k, out, tmp, mask):
-    # np.where(|r| <= k, 1.0 - u * u * u, 1.0)
-    u = _tukey_u(r, k, tmp, mask)
-    np.multiply(u, u, out=out)
-    np.multiply(out, u, out=out)
-    np.subtract(1.0, out, out=out)
-    np.copyto(out, 1.0, where=np.logical_not(mask, out=mask))
-    return out
-
-
-def _tukey_grad(r, k, out, tmp, mask):
-    # np.where(|r| <= k, (6.0 * r / (k * k)) * u * u, 0.0)
-    u = _tukey_u(r, k, tmp, mask)
-    np.multiply(6.0, r, out=out)
-    np.divide(out, k * k, out=out)
-    np.multiply(out, u, out=out)
-    np.multiply(out, u, out=out)
-    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
-    return out
+def _tukey_grad(r, k):
+    u = 1.0 - (r / k) ** 2
+    return np.where(np.abs(r) <= k, (6.0 * r / (k * k)) * u * u, 0.0)
 
 
 _KERNELS = {
@@ -206,12 +166,11 @@ def _constant(spec: LossSpec, delta: float | None):
 def _apply(kernel, spec: LossSpec, r, delta):
     r = np.asarray(r, dtype=np.float64)
     c = _constant(spec, delta)
-    buffers = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
     if spec.kind == LossKind.TUKEY:
         # (r/k)^2 overflows to inf for huge r, which lands in the flat branch
         with np.errstate(over="ignore"):
-            return kernel(r, c, *buffers)
-    return kernel(r, c, *buffers)
+            return kernel(r, c)
+    return kernel(r, c)
 
 
 def loss_value(spec: LossSpec, r, delta: float | None = None):

@@ -78,29 +78,6 @@ def _kind(kind) -> Activation:
     return kind
 
 
-def activate(kind: Activation, z):
-    """Apply an activation function elementwise.
-
-    logistic(z) = 1/(1+exp(-z)), softplus(z) = ln(1+exp(z)), identity(z) = z.
-    Both saturating kinds are evaluated overflow-safely: softplus goes through
-    log-add-exp, the logistic simply lets exp(-z) overflow to inf (giving the
-    exact limit 0) with the warning suppressed.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return _ACTIVATE[_kind(kind)](z, np.empty_like(z))
-
-
-def activate_deriv(kind: Activation, z):
-    """Derivative of the activation as a function of the pre-activation z."""
-    z = np.asarray(z, dtype=np.float64)
-    # 1 * sigma'(z), through the scaling backpropagation uses
-    d = np.ones_like(z)
-    with np.errstate(over="ignore"):
-        _SCALE_BY_DERIV[_kind(kind)](d, z, activate(kind, z), np.empty_like(z))
-    return d
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Layer layout of a regression network: p inputs, H hidden layers, one output."""

@@ -213,7 +213,7 @@ class _LossGroup:
     """The adjacent live slots [start, start + count) that share one loss:
     per epoch, their per-instance losses, objectives, dL/dyhat and, for a
     trimmed loss, their kept rows, read and written through views of the
-    stacked arrays and buffers allocated once."""
+    stacked arrays."""
 
     def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
         n, end = batch.n, start + count
@@ -222,33 +222,30 @@ class _LossGroup:
         self.adaptive = spec.adaptive_huber
         self.constant = None if self.adaptive else L._constant(spec, None)
         self.kth = L._median_kth(n)
-        self.per, self.tmp = np.empty((count, n)), np.empty((count, n))
-        self.mask = np.empty((count, n), dtype=bool)
-        if self.adaptive:
-            self.delta, self.nan = np.empty((count, 1)), np.empty((count, 1), dtype=bool)
+        self.abs_r = np.empty((count, n)) if self.adaptive else None
         self.h = L.trim_count(n, spec.trim_alpha) if spec.is_trimmed else None
         # a row of the group's losses -> that row in the kernel's (B*n) rows
         self.row_shift = start * n
         self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
         self.grad = batch.grad[start:end]
         self.grad_weights, self.grad_intercepts = _split(self.grad, batch.arch.layer_sizes)
-        self.kept = None
+        self.per = self.delta = self.kept = None
 
     def losses(self) -> list[float]:
         """Per-instance losses and dL/dyhat of the group's runs, and their
         kept rows if trimmed; returns each run's objective, the sum of its
         (kept) losses."""
-        r, c, per, tmp, mask = self.r, self.constant, self.per, self.tmp, self.mask
+        r, c = self.r, self.constant
         if self.adaptive:
-            c = L._floored_median(np.abs(r, out=tmp), self.kth, self.delta, self.nan)
-        self.value(r, c, per, tmp, mask)
+            c = self.delta = L._floored_median(np.abs(r, out=self.abs_r), self.kth)
+        per = self.per = self.value(r, c)
         if self.h is None:
             sums = np.add.reduce(per, axis=1)
         else:
             kept = L._trim_rows(per, self.h)
             self.kept = kept + self.row_shift
             sums = np.add.reduce(per.take(kept), axis=1)
-        np.negative(self.gradient(r, c, self.error, tmp, mask), out=self.error)
+        np.negative(self.gradient(r, c), out=self.error)
         return sums.tolist()
 
 

@@ -180,6 +180,7 @@ def breakdown_runs(loss):
     return [ended[seed] for seed in range(5)]
 
 
+@pytest.mark.slow
 def test_c03_breakdown_of_unprotected_training():
     with criterion("criterion 3 (single-outlier breakdown, sign rule + squared)"):
         t0 = time.perf_counter()
@@ -190,6 +191,7 @@ def test_c03_breakdown_of_unprotected_training():
         assert elapsed < 120.0, f"breakdown demonstration took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_c04_half_trimming_protects_against_the_same_outlier():
     with criterion("criterion 4 (half trimming keeps the norm bounded)"):
         for seed, (n0, out) in enumerate(breakdown_runs(L.LossSpec.trimmed(0.5))):
@@ -248,6 +250,7 @@ def _x_case_configs(activation, mu_out):
         replications=10, base_seed=424242)
 
 
+@pytest.mark.slow
 def test_c06_bounded_activation_tames_x_contamination():
     with criterion("criterion 6 (X-contamination boundedness per activation)"):
         cfgs = [_x_case_configs(Activation.LOGISTIC, 10.0),

@@ -1,7 +1,8 @@
 """Golden outputs: `robustnn run` must write byte-identical results.csv and
-summary.csv at any parallelism. Changes to the trainer, the preparation of
-runs or the sweep scheduler that are meant to keep every number must keep
-these digests.
+summary.csv at any parallelism, and `robustnn report` byte-identical charts
+and report_data.csv from the desk summary. Changes to the trainer, the
+preparation of runs, the sweep scheduler or the writers that are meant to
+keep every number must keep these digests.
 
 The digests were taken with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 on
 an AVX-512 x86-64 machine. Another numpy or BLAS build may round a matrix
@@ -34,11 +35,39 @@ Y_ITERATIVE_DOC = {
     "optimizer": {"stepmax": 400},
 }
 
+# softplus hidden layers, which have kernels of their own (log-add-exp
+# forward, the logistic as derivative), under x-casewise contamination;
+# some runs reach the epoch cap
+SOFTPLUS_DOC = {
+    "data": {"p": 3, "n_train": 40, "n_test": 16}, "structure": "trig",
+    "contamination": {"kind": "x-casewise", "r": 0.25, "mu_out": 10},
+    "activation": "softplus", "depth": ["shallow", "deep"], "standardize": True,
+    "losses": ["squared", "huber", "tukey", "trim25"], "replications": 3, "base_seed": 11,
+    "optimizer": {"stepmax": 300},
+}
+
+DOCS = {"y_iterative": Y_ITERATIVE_DOC, "softplus": SOFTPLUS_DOC}
+
 GOLDEN = {
     "desk_demo": ("6a8f40cc2e68f559df4090bde66460304c62b2f8bbfeea1ee0b102866d7fccc5",
                   "d66f562c685102bab9712ee7b6bfb2eec7b85861eb56cc6b85bed632c66ba781"),
     "y_iterative": ("07fbe6cb1b543f8cf01edef1e03dfdc889715c60a8bc9abfc84f4f6a6d7f2e1c",
                     "587a91ba30cf799e7fa4df4c97dab5559a87f5a1dece2b3ad90493e559937b15"),
+    "softplus": ("0abb11afcbba01d28bfbc74108003b715824d8f3bca3c9dbe5f99ab819b5b6d9",
+                 "49d91dae7dea73a7d124265e1119fc676380a5755e023dd6e15d37140a42b6ba"),
+}
+
+# what `robustnn report` writes from the desk_demo summary.csv
+GOLDEN_REPORT = {
+    "chart_lin_n150_p5_none_r0.25_m100_logistic_shallow_std.svg":
+        "4cfacdb60de90ed9a3017b39f8ea1e478d9817d76cef3d51514e0a63e9e463b8",
+    "chart_lin_n150_p5_x-casewise_r0.25_m100_logistic_shallow_std.svg":
+        "b55e06df7e19bed8b95de8fe205589ae5d44c271441be941f6cd7620e2bad5ab",
+    "chart_lin_n150_p5_xy-cellwise_r0.25_m100_logistic_shallow_std.svg":
+        "ae49508f0da79fe633ec6556e2a2b364f5231672e4462ddec8081933f4c9d1f8",
+    "chart_lin_n150_p5_y-convex_r0.25_m100_logistic_shallow_std.svg":
+        "3059dfd81e9a3951ca398fe7508e3d29b3564f23cd461661dfac68da6b289e22",
+    "report_data.csv": "7cb6ee5d1b00b06268bb6bda53804f0972efc8ea0c82cba61678a33d5b40ea71",
 }
 
 
@@ -78,7 +107,7 @@ def test_run_writes_the_golden_outputs(tmp_path, capsys, name, parallel):
         config = CONFIGS / "desk_demo.json"
     else:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(Y_ITERATIVE_DOC))
+        config.write_text(json.dumps(DOCS[name]))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out),
                      "--parallel", str(parallel)]) == cli.EXIT_OK
@@ -89,3 +118,17 @@ def test_run_writes_the_golden_outputs(tmp_path, capsys, name, parallel):
         f"{name} at --parallel {parallel}: sha256 of results.csv/summary.csv "
         f"changed; the golden digests were taken with {TAKEN_WITH}, this run "
         f"uses {builds()}")
+
+
+def test_report_writes_the_golden_charts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(CONFIGS / "desk_demo.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["report", "--summary", str(out / "summary.csv"),
+                     "--out", str(out / "report")]) == cli.EXIT_OK
+    capsys.readouterr()
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted((out / "report").iterdir())}
+    assert got == GOLDEN_REPORT, (
+        f"sha256 of the desk report changed; the golden digests were taken "
+        f"with {TAKEN_WITH}, this run uses {builds()}")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracle import backprop, canonical_bytes, dloss_dprediction, intercept_sum
 from robustnn import losses as L
 from robustnn.net import (
+    _ACTIVATE,
+    _SCALE_BY_DERIV,
     Activation,
     Architecture,
     BatchKernel,
@@ -36,6 +38,22 @@ def forward_one(net, x):
     return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
 
 
+def activation(kind, z):
+    """sigma(z) through the forward pass's kernel."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return _ACTIVATE[kind](z, np.empty_like(z))
+
+
+def activation_deriv(kind, z):
+    """sigma'(z): an error term of ones, scaled as backpropagation scales it."""
+    z = np.asarray(z, dtype=np.float64)
+    d = np.ones_like(z)
+    with np.errstate(over="ignore"):
+        _SCALE_BY_DERIV[kind](d, z, activation(kind, z), np.empty_like(z))
+    return d
+
+
 class TestActivations:
     def test_logistic_values(self):
         z = np.array([0.0, 2.0, -2.0])
@@ -43,31 +61,36 @@ class TestActivations:
         np.testing.assert_allclose(
             np.asarray([0.5, s[1], s[2]]),
             np.array([0.5, 1 / (1 + math.exp(-2)), 1 / (1 + math.exp(2))]))
-        from robustnn.net import activate
-        np.testing.assert_allclose(activate(Activation.LOGISTIC, z), s)
+        np.testing.assert_allclose(activation(Activation.LOGISTIC, z), s)
 
     def test_logistic_extreme_inputs_hit_exact_limits(self):
-        from robustnn.net import activate
-        out = activate(Activation.LOGISTIC, np.array([-800.0, 800.0]))
+        out = activation(Activation.LOGISTIC, np.array([-800.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
     def test_softplus_at_zero_is_log_two(self):
-        from robustnn.net import activate
-        assert activate(Activation.SOFTPLUS, 0.0) == pytest.approx(math.log(2), rel=1e-15)
+        assert activation(Activation.SOFTPLUS, 0.0) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_softplus_large_z_equals_z(self):
         # overflow-safe branch: softplus(z) = z to 1e-13 relative for z > 30
-        from robustnn.net import activate
         for z in [31.0, 100.0, 1e3, 1e6, 1e300]:
-            assert abs(activate(Activation.SOFTPLUS, z) - z) <= 1e-13 * z
+            assert abs(activation(Activation.SOFTPLUS, z) - z) <= 1e-13 * z
+
+    def test_hidden_units_apply_the_same_kernels(self):
+        # a one-unit hidden layer with weight 1 and intercept 0 passes z
+        # through the activation on the way to the identity output
+        z = np.array([-800.0, -2.0, 0.0, 2.0, 31.0, 800.0])
+        for kind in Activation:
+            net = network_from_vector(make_arch(1, [1], hidden_act=kind),
+                                      np.array([0.0, 0.0, 1.0, 1.0]))
+            np.testing.assert_array_equal(forward_batch(net, z[:, None]).predictions,
+                                          activation(kind, z))
 
     def test_derivatives(self):
-        from robustnn.net import activate, activate_deriv
         z = np.linspace(-5, 5, 41)
-        s = activate(Activation.LOGISTIC, z)
-        np.testing.assert_allclose(activate_deriv(Activation.LOGISTIC, z), s * (1 - s))
-        np.testing.assert_allclose(activate_deriv(Activation.SOFTPLUS, z), s)
-        np.testing.assert_allclose(activate_deriv(Activation.IDENTITY, z), np.ones_like(z))
+        s = activation(Activation.LOGISTIC, z)
+        np.testing.assert_allclose(activation_deriv(Activation.LOGISTIC, z), s * (1 - s))
+        np.testing.assert_allclose(activation_deriv(Activation.SOFTPLUS, z), s)
+        np.testing.assert_allclose(activation_deriv(Activation.IDENTITY, z), np.ones_like(z))
 
 
 class TestArchitectureValidation:
