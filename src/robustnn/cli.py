@@ -492,7 +492,7 @@ def cmd_probe(config_path, seed_override: int | None = None,
         prep = exp.prepare_run(cfg, 0)
         n0 = weight_vec_norm(prep.net)
         print(f"config {cfg.config_id}: initial weight norm {n0:.6g}")
-        outcome = exp.train_run(cfg, prep, record_norms=True)
+        outcome = exp.train_run(prep, record_norms=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

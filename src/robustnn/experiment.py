@@ -7,6 +7,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +77,30 @@ LOSS_LABELS = {
 LOSS_ORDER = ("squared", "huber", "tukey", "trim10", "trim25", "trim50")
 
 
+@dataclass
+class Cell:
+    """The fields that name one configuration cell, flattened for CSV output."""
+
+    config_id: str
+    structure: str
+    n: int
+    p: int
+    activation: str
+    depth: str
+    standardized: bool
+    cont_kind: str
+    r: float
+    mu_out: float
+    loss: str
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One configuration cell. What it fixes for every run of it, its id,
+    scenario key, cell columns and architecture, is computed on first use
+    and kept; dataclasses.replace gives a configuration that computes them
+    anew."""
+
     data: DataGenSpec
     contamination: ContaminationSpec
     activation: Activation
@@ -106,17 +129,52 @@ class ExperimentConfig:
             f"_{'std' if self.standardize else 'raw'}"
         )
 
-    @property
+    @cached_property
     def config_id(self) -> str:
         return f"{self.scenario_id}_{loss_token(self.loss)}"
 
+    @cached_property
+    def scenario_key(self) -> tuple:
+        """What prepare_scenario reads besides the replication: the specs, and
+        the strings their streams are keyed by, which tell -0.0 from 0.0 where
+        the specs compare equal."""
+        return (self.base_seed, self.data, _data_key(self.data), self.contamination,
+                _cont_key(self.contamination), self.standardize)
+
+    @cached_property
+    def cell(self) -> Cell:
+        """The cell columns of every record of this configuration."""
+        c = self.contamination
+        return Cell(
+            config_id=self.config_id,
+            structure=self.data.structure.value,
+            n=self.data.n_train,
+            p=self.data.p,
+            activation=self.activation.value,
+            depth=self.depth.value,
+            standardized=self.standardize,
+            cont_kind=c.kind.value,
+            r=c.r,
+            mu_out=c.mu_out,
+            loss=loss_token(self.loss),
+        )
+
     def architecture(self) -> Architecture:
+        return self._architecture
+
+    @cached_property
+    def _architecture(self) -> Architecture:
         return Architecture(
             input_dim=self.data.p,
             hidden_sizes=DEPTH_HIDDEN[self.depth],
             hidden_activation=self.activation,
             output_activation=Activation.IDENTITY,
         )
+
+    def init_seed(self, rep: int) -> int:
+        """The seed of replication rep's initial network, whose stream is
+        keyed by the full configuration."""
+        return derive_seed("init", self.base_seed, self.config_id, rep)
 
     def resolved_optimizer(self) -> OptimizerSpec:
         """Explicit optimizer if one was set, otherwise defaults with the
@@ -142,23 +200,6 @@ def _cont_key(c: ContaminationSpec) -> str:
 
 
 @dataclass
-class Cell:
-    """The fields that name one configuration cell, flattened for CSV output."""
-
-    config_id: str
-    structure: str
-    n: int
-    p: int
-    activation: str
-    depth: str
-    standardized: bool
-    cont_kind: str
-    r: float
-    mu_out: float
-    loss: str
-
-
-@dataclass
 class RunRecord(Cell):
     """One training run, flattened for CSV output."""
 
@@ -179,35 +220,6 @@ class RunRecord(Cell):
 
 def _fingerprint(data: Dataset) -> str:
     return hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest()
-
-
-class _Config:
-    """A configuration and what it fixes for every run of it, computed once:
-    its id, architecture and record fields."""
-
-    __slots__ = ("cfg", "config_id", "architecture", "fields")
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.config_id = cfg.config_id
-        self.architecture = cfg.architecture()
-        c = cfg.contamination
-        self.fields = dict(
-            config_id=self.config_id,
-            structure=cfg.data.structure.value,
-            n=cfg.data.n_train,
-            p=cfg.data.p,
-            activation=cfg.activation.value,
-            depth=cfg.depth.value,
-            standardized=cfg.standardize,
-            cont_kind=c.kind.value,
-            r=c.r,
-            mu_out=c.mu_out,
-            loss=loss_token(cfg.loss),
-        )
-
-    def init_seed(self, rep: int) -> int:
-        return derive_seed("init", self.cfg.base_seed, self.config_id, rep)
 
 
 @dataclass
@@ -231,7 +243,7 @@ class PreparedScenario:
 class PreparedRun:
     """One replication of one configuration, ready to train."""
 
-    config: _Config
+    cfg: ExperimentConfig
     rep: int
     seed: int               # the network initialization's seed
     scenario: PreparedScenario
@@ -250,18 +262,16 @@ def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
     """
     if rep >= cfg.replications:
         raise ValueError("rep exceeds the configured replication count")
-    base = cfg.base_seed
-    dkey = _data_key(cfg.data)
-    ckey = _cont_key(cfg.contamination)
+    base, data, dkey, contamination, ckey, standardize = cfg.scenario_key
 
     rng_data = np.random.default_rng(derive_seed("data", base, dkey, rep))
-    train_ds, test_ds = generate_dataset(cfg.data, rng_data)
+    train_ds, test_ds = generate_dataset(data, rng_data)
     test_fingerprint = _fingerprint(test_ds)
 
     rng_cont = np.random.default_rng(derive_seed("cont", base, dkey, ckey, rep))
-    train_c = apply_contamination(train_ds, cfg.contamination, rng_cont)
+    train_c = apply_contamination(train_ds, contamination, rng_cont)
 
-    if cfg.standardize:
+    if standardize:
         transform = fit_standardizer(train_c.Y)
         y_train = transform.apply(train_c.Y)
         y_test = transform.apply(test_ds.Y)
@@ -270,9 +280,9 @@ def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
         y_test = test_ds.Y
 
     attacked = hook = None
-    if cfg.contamination.kind == ContaminationKind.Y_ITERATIVE:
+    if contamination.kind == ContaminationKind.Y_ITERATIVE:
         attacked, hook = make_iterative_attack_hook(
-            train_c.n, rng_cont, eps=cfg.contamination.mu_out)
+            train_c.n, rng_cont, eps=contamination.mu_out)
     for shared in (train_c.X, y_train, attacked):
         if shared is not None:
             shared.flags.writeable = False
@@ -280,20 +290,12 @@ def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
                             attacked, hook)
 
 
-def _scenario_key(cfg: ExperimentConfig) -> tuple:
-    """What prepare_scenario reads besides the replication: the specs, and
-    the strings their streams are keyed by, which tell -0.0 from 0.0 where
-    the specs compare equal."""
-    return (cfg.base_seed, cfg.data, _data_key(cfg.data), cfg.contamination,
-            _cont_key(cfg.contamination), cfg.standardize)
-
-
-def _prepare_net(config: _Config, rep: int, scenario: PreparedScenario) -> PreparedRun:
+def _prepare_net(cfg: ExperimentConfig, rep: int, scenario: PreparedScenario) -> PreparedRun:
     """The per-run part of preparation: the initial network, drawn from a
     stream keyed by the full configuration."""
-    seed = config.init_seed(rep)
-    net = init_weights(config.architecture, np.random.default_rng(seed))
-    return PreparedRun(config, rep, seed, scenario, net)
+    seed = cfg.init_seed(rep)
+    net = init_weights(cfg.architecture(), np.random.default_rng(seed))
+    return PreparedRun(cfg, rep, seed, scenario, net)
 
 
 def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
@@ -302,24 +304,23 @@ def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
 
     Raises what prepare_scenario raises.
     """
-    return _prepare_net(_Config(cfg), rep, prepare_scenario(cfg, rep))
+    return _prepare_net(cfg, rep, prepare_scenario(cfg, rep))
 
 
-def train_run(cfg: ExperimentConfig, prep: PreparedRun, *,
-              record_norms: bool = False) -> TrainOutcome:
+def train_run(prep: PreparedRun, *, record_norms: bool = False) -> TrainOutcome:
     """Train a prepared replication with its configured loss, optimizer,
     divergence level and attacker."""
+    cfg = prep.cfg
     return train(prep.net, prep.scenario.train, cfg.loss, cfg.resolved_optimizer(),
                  cfg.diverge_norm, record_norms=record_norms,
                  epoch_end_hook=prep.scenario.hook)
 
 
 def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
-    config = _Config(cfg)
     return RunRecord(
-        **config.fields,
+        **vars(cfg.cell),
         rep=rep,
-        seed=config.init_seed(rep),
+        seed=cfg.init_seed(rep),
         converged=False,
         status=STATUS_ERROR,
         epochs=0,
@@ -356,7 +357,7 @@ def _record(prep: PreparedRun, outcome: TrainOutcome, predictor: Predictor) -> R
         raise HeldOutSetModifiedError("test set was modified during the run")
 
     return RunRecord(
-        **prep.config.fields,
+        **vars(prep.cfg.cell),
         rep=prep.rep,
         seed=prep.seed,
         converged=outcome.status == TrainStatus.CONVERGED,
@@ -376,7 +377,7 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """
     try:
         prep = prepare_run(cfg, rep)
-        return _record(prep, train_run(cfg, prep), Predictor(prep.config.architecture))
+        return _record(prep, train_run(prep), Predictor(cfg.architecture()))
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return _error_record(cfg, rep, str(exc))
 
@@ -396,18 +397,15 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
 
     def jobs():
         held: dict[int, PreparedScenario] = {}  # the current scenario's, by replication
-        config = scenario = None
+        scenario = None
         for i, (cfg, rep) in enumerate(tasks):
-            if config is None or config.cfg is not cfg:
-                config = _Config(cfg)
-                key = _scenario_key(cfg)
-                if key != scenario:
-                    scenario = key
-                    held.clear()
+            if cfg.scenario_key != scenario:
+                scenario = cfg.scenario_key
+                held.clear()
             try:
                 if rep not in held:
                     held[rep] = prepare_scenario(cfg, rep)
-                prep = _prepare_net(config, rep, held[rep])
+                prep = _prepare_net(cfg, rep, held[rep])
             except Exception as exc:
                 fail(i, exc)
                 continue
@@ -448,7 +446,7 @@ def _queues(tasks: list, parallelism: int) -> list[list]:
     queues = []
     for group in by_shape.values():
         units: dict[tuple, int] = {}
-        unit = [units.setdefault((_scenario_key(cfg), rep), len(units)) for cfg, rep in group]
+        unit = [units.setdefault((cfg.scenario_key, rep), len(units)) for cfg, rep in group]
         if len(units) < parallelism:
             unit = range(len(group))
         k = min(parallelism, len(group))

@@ -169,8 +169,12 @@ def _apply(kernel, spec: LossSpec, r, delta):
     if spec.kind == LossKind.TUKEY:
         # (r/k)^2 overflows to inf for huge r, which lands in the flat branch
         with np.errstate(over="ignore"):
-            return kernel(r, c)
-    return kernel(r, c)
+            out = kernel(r, c)
+    else:
+        out = kernel(r, c)
+    # a numpy scalar for a 0-d r, whichever kind: np.where gives a 0-d
+    # array where arithmetic gives a scalar
+    return out[()] if r.ndim == 0 else out
 
 
 def loss_value(spec: LossSpec, r, delta: float | None = None):

@@ -247,22 +247,18 @@ def _run_backward(steps) -> None:
         scale(d, a, z, tmp)
 
 
-# np.add.reduce sums an intercept gradient wider than 1, a non-contiguous
-# axis, row by row in row order from +0.0, and einsum does the same, but for
-# which NaN it returns. A call of einsum costs about 1 us more and saves
-# about 0.05 us a row (numpy 2.4, 2-core Xeon): from this many rows on, over
-# all slots, it is the faster. A width-1 column is contiguous, which
-# np.add.reduce sums pairwise, so it keeps that.
-_EINSUM_MIN_ROWS = 100
-
-
 def _sum_steps(deltas, inputs) -> list[tuple]:
     """Per weighted layer: (delta, its transpose, layer input, whether its
     intercept gradient is summed through einsum), what a gradient sum
-    reads."""
-    return [(d, d.swapaxes(-1, -2), z,
-             d.shape[-1] > 1 and d.size >= _EINSUM_MIN_ROWS * d.shape[-1])
-            for d, z in zip(deltas, inputs)]
+    reads.
+
+    An intercept gradient wider than 1 sums a non-contiguous axis, which
+    np.add.reduce and einsum both sum row by row in row order from +0.0;
+    they differ only in which NaN they return. einsum is the faster from
+    about 50 rows on (numpy 2.4, 2-core Xeon), fewer than the study's
+    sums have: trim50 at n=150 sums 75. A width-1 column is contiguous,
+    which np.add.reduce sums pairwise, so it keeps that."""
+    return [(d, d.swapaxes(-1, -2), z, d.shape[-1] > 1) for d, z in zip(deltas, inputs)]
 
 
 def _gradient_sum(steps, d_weights, d_intercepts) -> int:

@@ -36,6 +36,7 @@ from robustnn.experiment import (
 from robustnn.net import (
     Activation,
     Architecture,
+    BatchKernel,
     batch_deltas,
     count_parameters,
     forward_batch,
@@ -91,13 +92,16 @@ def test_c01_gradient_oracle():
                 return r
             return np.where(np.abs(np.abs(r) - kink) < 0.05, r + 0.15 * np.sign(r), r)
 
-        def assert_matches_fd(analytic, loss_at, p0):
+        def finite_differences(loss_at, p0):
             fd = np.zeros_like(p0)
             for i in range(p0.size):
                 up, dn = p0.copy(), p0.copy()
                 up[i] += step
                 dn[i] -= step
                 fd[i] = (loss_at(up) - loss_at(dn)) / (2 * step)
+            return fd
+
+        def assert_matches(analytic, fd):
             scale = np.maximum(np.abs(analytic), np.abs(fd))
             rel = np.where(scale > 1e-6,
                            np.abs(analytic - fd) / np.maximum(scale, 1e-300),
@@ -127,9 +131,13 @@ def test_c01_gradient_oracle():
                     r = float(off_kink(rng.uniform(-3, 3), kink))
                     y = pred + r
                     analytic = backprop(net, x, dloss_dprediction(spec, y - pred, delta))[0]
-                    assert_matches_fd(analytic, lambda v: mean_loss_at(v, x, y), p0)
+                    assert_matches(analytic, finite_differences(
+                        lambda v: mean_loss_at(v, x, y), p0))
 
-                    # the route train runs, over all rows and over a kept subset
+                    # over all rows and over a kept subset: the standalone
+                    # passes, and the route train runs, a one-slot
+                    # BatchKernel whose gradient sum train divides by the
+                    # row count
                     X = np.vstack([x, rng_rows.standard_normal((C01_ROWS - 1, arch.input_dim))])
                     trace = forward_batch(net, X)
                     Y = trace.predictions + off_kink(rng_rows.uniform(-3, 3, C01_ROWS), kink)
@@ -137,9 +145,19 @@ def test_c01_gradient_oracle():
                         net, trace, -L.loss_gradient(spec, Y - trace.predictions, delta))
                     kept = np.sort(rng_rows.choice(C01_ROWS, replace=False,
                                                    size=int(rng_rows.integers(1, C01_ROWS))))
+                    kernel = BatchKernel(network_from_vector(arch, p0[None], copy=False), X[None])
+                    predictions = kernel.forward()
+                    kernel.output_error[:] = -L.loss_gradient(spec, Y - predictions[0], delta)
+                    kernel.backward()
+                    grad = np.empty((1, p0.size))
+                    sums = network_from_vector(arch, grad, copy=False)
                     for rows in (None, kept):
-                        assert_matches_fd(mean_gradient_vector(trace, deltas, rows),
-                                          lambda v: mean_loss_at(v, X, Y, rows), p0)
+                        fd = finite_differences(lambda v: mean_loss_at(v, X, Y, rows), p0)
+                        assert_matches(mean_gradient_vector(trace, deltas, rows), fd)
+                        count = kernel.gradient_sum(sums.weights, sums.intercepts,
+                                                    None if rows is None else rows[None])
+                        assert count == (C01_ROWS if rows is None else rows.size)
+                        assert_matches(grad[0] / count, fd)
                     checked += 1
         elapsed = time.perf_counter() - t0
         assert checked >= 50

@@ -238,10 +238,10 @@ class TestCmdRun:
 
         prepare = exp._prepare_net
 
-        def failing(config, rep, scenario):
-            if config.config_id.endswith("_huber") and rep == 1:
+        def failing(cfg, rep, scenario):
+            if cfg.config_id.endswith("_huber") and rep == 1:
                 raise RuntimeError("no data for this run")
-            return prepare(config, rep, scenario)
+            return prepare(cfg, rep, scenario)
 
         monkeypatch.setattr(exp, "_prepare_net", failing)
         assert cli.cmd_run(cfg, tmp_path / "failed") == 0

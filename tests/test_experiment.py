@@ -46,6 +46,25 @@ class TestConfigIds:
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             dataclasses.replace(small_config(), **field)
 
+    def test_a_configuration_computes_its_identity_once(self):
+        cfg = small_config(loss=LossSpec.huber(), kind=ContaminationKind.Y_CONVEX, r=0.25)
+        for name in ("config_id", "scenario_key", "cell"):
+            assert getattr(cfg, name) is getattr(cfg, name)
+        assert cfg.architecture() is cfg.architecture()
+        assert dataclasses.asdict(cfg.cell) == dict(
+            config_id=cfg.config_id, structure="lin", n=40, p=3, activation="logistic",
+            depth="shallow", standardized=True, cont_kind="y-convex", r=0.25, mu_out=10.0,
+            loss="huber")
+        assert cfg.init_seed(1) == E.derive_seed("init", 11, cfg.config_id, 1)
+        # what is kept leaves equality and hashing to the fields
+        fresh = small_config(loss=LossSpec.huber(), kind=ContaminationKind.Y_CONVEX, r=0.25)
+        assert fresh == cfg and hash(fresh) == hash(cfg)
+        # replace computes it anew from the new values
+        other = dataclasses.replace(cfg, base_seed=12, loss=LossSpec.tukey())
+        assert other.scenario_key == (12, *cfg.scenario_key[1:])
+        assert other.cell.loss == "tukey" and other.config_id.endswith("_tukey")
+        assert other.init_seed(1) == E.derive_seed("init", 12, other.config_id, 1)
+
     def test_depth_controls_architecture_and_stepmax(self):
         cfg = small_config()
         assert cfg.architecture().hidden_sizes == (10, 10)

@@ -10,16 +10,25 @@ product differently, and so may the same builds on another CPU: numpy picks
 its SIMD loops (exp and log1p among them) and OpenBLAS its kernels by the
 CPU they run on. Either moves the trajectories of sign-based training; the
 failure message then names both builds and what each dispatched to.
+
+The pinned digests are those of the same runs in a subprocess whose
+dispatch any x86-64 CPU with AVX2 and FMA3 can give: numpy's AVX-512 loops
+disabled and OpenBLAS's Haswell kernels, so that they hold on other such
+machines with the same builds. Both sets were taken from the same tree.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustnn
 from robustnn import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -54,6 +63,18 @@ GOLDEN = {
     "y_iterative": ("07fbe6cb1b543f8cf01edef1e03dfdc889715c60a8bc9abfc84f4f6a6d7f2e1c",
                     "587a91ba30cf799e7fa4df4c97dab5559a87f5a1dece2b3ad90493e559937b15"),
     "softplus": ("0abb11afcbba01d28bfbc74108003b715824d8f3bca3c9dbe5f99ab819b5b6d9",
+                 "49d91dae7dea73a7d124265e1119fc676380a5755e023dd6e15d37140a42b6ba"),
+}
+
+PINNED_ENV = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4",
+              "OPENBLAS_CORETYPE": "Haswell"}
+
+GOLDEN_PINNED = {
+    "desk_demo": ("69e7b1309145e8d91f3543240eef2d31176e5bd9c92a988563ac38690e8381cd",
+                  "6f8d27a8366e43b6260649087c975c670b8ac3e4e4c1083f6bc86758e37c1fe3"),
+    "y_iterative": ("7b80777830e5b342534f6e75c2e0899ca6afe0049451b32274764b93c0105272",
+                    "587a91ba30cf799e7fa4df4c97dab5559a87f5a1dece2b3ad90493e559937b15"),
+    "softplus": ("c20d458dfbf5d6cd91bf9590b121e8bed7986c131e33f4a0dc0416eecd186ee7",
                  "49d91dae7dea73a7d124265e1119fc676380a5755e023dd6e15d37140a42b6ba"),
 }
 
@@ -100,24 +121,58 @@ def builds() -> str:
             f"{blas.get('name')} {blas.get('version')} (core {openblas_core()})")
 
 
+def has_avx2_and_fma3() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"))
+
+
+def config_of(name: str, tmp_path: Path) -> Path:
+    if name == "desk_demo":
+        return CONFIGS / "desk_demo.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DOCS[name]))
+    return config
+
+
+def digests(out: Path) -> tuple:
+    return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in ("results.csv", "summary.csv"))
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_writes_the_golden_outputs(tmp_path, capsys, name, parallel):
-    if name == "desk_demo":
-        config = CONFIGS / "desk_demo.json"
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(DOCS[name]))
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--out", str(out),
+    assert cli.main(["run", "--config", str(config_of(name, tmp_path)), "--out", str(out),
                      "--parallel", str(parallel)]) == cli.EXIT_OK
     capsys.readouterr()
-    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                for f in ("results.csv", "summary.csv"))
-    assert got == GOLDEN[name], (
+    assert digests(out) == GOLDEN[name], (
         f"{name} at --parallel {parallel}: sha256 of results.csv/summary.csv "
         f"changed; the golden digests were taken with {TAKEN_WITH}, this run "
         f"uses {builds()}")
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_PINNED))
+def test_pinned_run_writes_the_pinned_golden_outputs(tmp_path, name, parallel):
+    if not has_avx2_and_fma3():
+        pytest.skip("the pinned dispatch needs an x86-64 CPU with AVX2 and FMA3")
+    out = tmp_path / "out"
+    src = str(Path(robustnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustnn.cli", "run", "--config",
+         str(config_of(name, tmp_path)), "--out", str(out), "--parallel", str(parallel)],
+        env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert digests(out) == GOLDEN_PINNED[name], (
+        f"{name} at --parallel {parallel} under {PINNED_ENV}: sha256 of "
+        f"results.csv/summary.csv changed; the pinned digests were taken with "
+        f"numpy 2.4.6 and scipy-openblas 0.3.31.188.0, this process uses {builds()}")
 
 
 def test_report_writes_the_golden_charts(tmp_path, capsys):

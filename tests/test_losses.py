@@ -76,6 +76,21 @@ class TestLossGradients:
             L.loss_value(L.LossSpec.huber(), 1.0)
 
 
+@pytest.mark.parametrize("spec, delta", [
+    (L.LossSpec.squared(), None), (L.LossSpec.huber(1.5), None), (L.LossSpec.huber(), 0.75),
+    (L.LossSpec.tukey(), None), (L.LossSpec.trimmed(0.25), None),
+    (L.LossSpec.trimmed(0.5), None)])
+def test_a_0d_residual_gives_a_numpy_scalar_of_the_elementwise_value(spec, delta):
+    for r in (0.5, -3.0, 7.0, -0.0, 1e200, math.inf, math.nan):
+        for f in (L.loss_value, L.loss_gradient):
+            with np.errstate(over="ignore"):
+                want = f(spec, np.array([r]), delta)[0]
+                got = [f(spec, given, delta) for given in (r, np.float64(r), np.array(r))]
+            for value in got:
+                assert type(value) is np.float64, (f.__name__, r, type(value))
+                assert np.array(value).tobytes() == np.array(want).tobytes(), (f.__name__, r)
+
+
 class TestHuberInvariants:
     def test_gradient_bounded_by_delta(self):
         spec = L.LossSpec.huber(1.7)

@@ -2,7 +2,7 @@
 epoch, against the numpy routines they replace: the stable-argsort trim
 selection and np.median for the adaptive Huber threshold; and of the
 trainer's loss groups, which compute every loss for several runs at once
-into buffers of their own, against the one-run loss functions."""
+through views of the stacked arrays, against the one-run loss functions."""
 
 import math
 
@@ -127,7 +127,7 @@ GROUP_LOSSES = [L.LossSpec.huber(), L.LossSpec.huber(1.5), L.LossSpec.squared(),
 def test_a_loss_group_computes_what_the_loss_functions_compute(r, loss, epochs):
     # the group's rows of losses, dL/dyhat and objectives, and its Huber
     # threshold, are those of each row alone, epoch after epoch through the
-    # same buffers: the same bytes, but for which NaN a NaN is (a clip at a
+    # same group: the same bytes, but for which NaN a NaN is (a clip at a
     # NaN threshold returns another operand's NaN for a column of them)
     rows, n = r.shape
     batch = _Slots(Architecture(2, (3,)), n, OptimizerSpec(), rows + 1)

@@ -379,17 +379,17 @@ def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):
     prepare_scenario, prepare_net = E.prepare_scenario, E._prepare_net
 
     def recording_scenario(cfg, rep):
-        scenario_calls.append((E._scenario_key(cfg), rep))
+        scenario_calls.append((cfg.scenario_key, rep))
         scenario = prepare_scenario(cfg, rep)
-        scenario_of[id(scenario)] = E._scenario_key(cfg)
+        scenario_of[id(scenario)] = cfg.scenario_key
         return scenario
 
-    def recording_net(config, rep, scenario):
+    def recording_net(cfg, rep, scenario):
         # the preparations _run_queue's job generator holds, by scenario
         held.append({scenario_of[id(s)]
                      for s in sys._getframe(1).f_locals["held"].values()})
-        prep = prepare_net(config, rep, scenario)
-        prepared.append((config.cfg, rep, prep))
+        prep = prepare_net(cfg, rep, scenario)
+        prepared.append((cfg, rep, prep))
         return prep
 
     monkeypatch.setattr(E, "prepare_scenario", recording_scenario)
@@ -431,7 +431,7 @@ def test_queues_hold_one_shape_and_spread_over_the_workers():
         owner = {}
         for i, queue in enumerate(queues):
             for cfg, rep in queue:
-                key = (cfg.architecture(), E._scenario_key(cfg), rep)
+                key = (cfg.architecture(), cfg.scenario_key, rep)
                 assert owner.setdefault(key, i) == i
     # twelve runs of two shapes, as in the capped wide sweep, still fill two workers
     wide = [dataclasses.replace(cfg, replications=1) for cfg in cfgs[:12]]
