@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .experiment import (
     summarize,
 )
 from .losses import LossSpec
-from .net import Activation, weight_vec_norm
+from .net import Activation
 from .optimizer import OptimizerSpec, Rule
 
 SEED_ENV_VAR = "ROBUSTNN_SEED"
@@ -238,7 +239,9 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
 
 def parse_config(path) -> list[ExperimentConfig]:
     """Read a JSON configuration file: either one document or a list of
-    documents whose expansions are concatenated."""
+    documents whose expansions are concatenated. Two configurations with
+    one config_id are rejected: their runs would share seeds, rows and a
+    summary cell."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
@@ -249,7 +252,14 @@ def parse_config(path) -> list[ExperimentConfig]:
     docs = doc if isinstance(doc, list) else [doc]
     if not docs:
         raise ConfigError(f"{path} holds an empty list of documents")
-    return [cfg for entry in docs for cfg in expand_config(entry)]
+    cfgs = [cfg for entry in docs for cfg in expand_config(entry)]
+    seen = set()
+    for cfg in cfgs:
+        if cfg.config_id in seen:
+            raise ConfigError(f"configuration id '{cfg.config_id}' occurs twice: the two "
+                              "differ only in keys the id leaves out, or not at all")
+        seen.add(cfg.config_id)
+    return cfgs
 
 
 def emit_config(cfgs: list[ExperimentConfig]) -> list[dict]:
@@ -344,8 +354,28 @@ def write_summary_csv(cells: list[CellSummary], path) -> None:
 
 
 def read_summary_csv(path) -> list[dict]:
+    """The rows of a summary.csv as run writes it. Raises ConfigError naming
+    the file and the column for another header, a row of another length, a
+    count that is not an integer or a mean that is not a number."""
     with Path(path).open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        header, *lines = list(csv.reader(fh)) or [[]]
+    if header != SUMMARY_HEADER:
+        i, found, wanted = next((i, a, b) for i, (a, b) in
+                                enumerate(zip_longest(header, SUMMARY_HEADER)) if a != b)
+        raise ConfigError(f"{path}: column {i + 1} is {found!r}, expected {wanted!r}")
+    rows = [dict(zip(header, line)) for line in lines]
+    for number, (line, row) in enumerate(zip(lines, rows), start=2):
+        where = f"{path}: line {number}"
+        if len(line) != len(header):
+            raise ConfigError(f"{where} has {len(line)} fields, expected {len(header)}")
+        for column in ("replications", "n_converged", "n_inf_losses"):
+            if not row[column].isdecimal():
+                raise ConfigError(f"{where}, column '{column}': {row[column]!r} is not a count")
+        try:
+            float(row["mean_finite_test_loss"] or 0.0)
+        except ValueError:
+            raise ConfigError(f"{where}, column 'mean_finite_test_loss': "
+                              f"{row['mean_finite_test_loss']!r} is not a number") from None
     return rows
 
 
@@ -402,7 +432,11 @@ def cmd_report(summary_path, out_dir) -> int:
     if not summary_path.exists():
         print(f"error: summary file not found: {summary_path}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = read_summary_csv(summary_path)
+    try:
+        rows = read_summary_csv(summary_path)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not rows:
         print("summary is empty; nothing to report")
         return EXIT_OK
@@ -490,7 +524,7 @@ def cmd_probe(config_path, seed_override: int | None = None,
     # ends the probe with an error message instead of a traceback
     try:
         prep = exp.prepare_run(cfg, 0)
-        n0 = weight_vec_norm(prep.net)
+        n0 = float(np.linalg.norm(prep.net.params))
         print(f"config {cfg.config_id}: initial weight norm {n0:.6g}")
         outcome = exp.train_run(prep, record_norms=True)
     except ValueError as exc:

@@ -2,8 +2,9 @@
 
 Plain numpy implementation of a fully-connected feed-forward network with
 one real-valued output node: batch forward pass, exact backpropagation to
-the mean gradient over all or a subset of rows, parameter accounting and
-the flattened-parameter norm used by the breakdown probe.
+the mean gradient over all or a subset of rows and parameter accounting.
+A network is its flat parameter vector, whose layout this module alone
+decides.
 """
 
 from __future__ import annotations
@@ -111,18 +112,26 @@ class Architecture:
         return self.output_activation if layer == self.n_layers else self.hidden_activation
 
 
-@dataclass
 class Network:
-    """Weights and intercepts of a feed-forward network.
+    """A feed-forward network as its flat parameter vector, intercepts first
+    and then the weights, layer by layer: params is (P,), or a stacked
+    (B, P) for B networks side by side.
 
+    weights and intercepts are per-layer views of params, built once:
     weights[h] has shape (nodes of layer h+1, nodes of layer h) counting the
-    input as layer 0: entry (l, j) connects node j of the previous layer to
-    node l of this layer. intercepts[h] has one entry per node of the layer.
+    input as layer 0, and entry (l, j) connects node j of the previous layer
+    to node l of this layer; intercepts[h] has one entry per node of the
+    layer. A stack gives each a leading slot axis. Writing into params moves
+    the views and the other way round; a float64 params is not copied.
     """
 
-    weights: list[np.ndarray]
-    intercepts: list[np.ndarray]
-    architecture: Architecture
+    def __init__(self, architecture: Architecture, params):
+        total = count_parameters(architecture)[2]
+        params = np.asarray(params, dtype=np.float64)
+        if params.ndim not in (1, 2) or params.shape[-1] != total:
+            raise ValueError(f"expected parameter vector of length {total}, got {params.shape}")
+        self.architecture, self.params = architecture, params
+        self.weights, self.intercepts = _split(params, architecture.layer_sizes)
 
 
 @dataclass
@@ -147,18 +156,10 @@ def count_parameters(arch: Architecture) -> tuple[int, int, int]:
     return n_intercepts, n_weights, n_intercepts + n_weights
 
 
-def param_vector(net: Network, out: np.ndarray | None = None) -> np.ndarray:
-    """Flatten (intercepts, weights) into one vector, intercepts first: a
-    new one, or the given one, written in place."""
-    return np.concatenate(
-        [v.ravel() for v in net.intercepts] + [w.ravel() for w in net.weights], out=out
-    )
-
-
 def _split(vec: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer (weights, intercepts) views of a flat vector laid out as
-    param_vector lays it out, for the given layer sizes (input first). A
-    stack of vectors along leading axes gives stacked views."""
+    """Per-layer (weights, intercepts) views of a flat vector, intercepts
+    first, for the given layer sizes (input first). A stack of vectors
+    along leading axes gives stacked views."""
     lead = vec.shape[:-1]
     intercepts = []
     weights = []
@@ -173,27 +174,10 @@ def _split(vec: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return weights, intercepts
 
 
-def network_from_vector(arch: Architecture, vec: np.ndarray, copy: bool = True) -> Network:
-    """Rebuild a Network from a flat parameter vector (inverse of param_vector).
-
-    With copy=False the returned weights and intercepts are views of vec, so
-    writing into vec updates the network. A (B, P) stack of vectors gives a
-    network whose arrays carry a leading slot axis of length B.
-    """
-    _, _, total = count_parameters(arch)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != total:
-        raise ValueError(f"expected parameter vector of length {total}, got {vec.shape}")
-    if copy:
-        vec = vec.copy()
-    weights, intercepts = _split(vec, arch.layer_sizes)
-    return Network(weights=weights, intercepts=intercepts, architecture=arch)
-
-
 def init_weights(arch: Architecture, rng: np.random.Generator) -> Network:
     """Draw every weight and intercept i.i.d. standard normal."""
     _, _, total = count_parameters(arch)
-    return network_from_vector(arch, rng.standard_normal(total), copy=False)
+    return Network(arch, rng.standard_normal(total))
 
 
 def _forward_arrays(arch: Architecture, X: np.ndarray) -> tuple[list, list]:
@@ -279,13 +263,13 @@ class BatchKernel:
     architecture side by side, each over its own input matrix, computed
     into (B, n, width) arrays allocated once.
 
-    net's weights and intercepts carry a leading slot axis of length B, as
-    network_from_vector gives them for a (B, P) parameter buffer, and X is a
-    C-contiguous (B, n, p) array. The kernel keeps references to these arrays, so the caller
-    can move the parameters in place and write a new run's inputs into a
-    slot between passes. Every pass runs on the first `live` slots only (a
-    gradient sum on as many as its output arrays hold), with one stacked
-    np.matmul per layer, whose slices are the matrix
+    net is a stacked network over a (B, P) parameter buffer, whose weights
+    and intercepts carry a leading slot axis of length B, and X is a
+    C-contiguous (B, n, p) array. The kernel keeps references to these
+    arrays, so the caller can move the parameters in place and write a new
+    run's inputs into a slot between passes. Every pass runs on the first
+    `live` slots only (a gradient sum on as many as its output arrays hold),
+    with one stacked np.matmul per layer, whose slices are the matrix
     products of one run. train_slots runs every epoch through one kernel;
     forward_batch, batch_deltas and mean_gradient_vector run the same
     passes once on arrays of their own.
@@ -312,8 +296,7 @@ class BatchKernel:
         def head(arrays):
             return [a[:live] for a in arrays]
 
-        net = Network(head(self.net.weights), head(self.net.intercepts),
-                      self.net.architecture)
+        net = Network(self.net.architecture, self.net.params[:live])
         pre, acts, deltas = head(self.pre), head(self.acts), head(self.deltas)
         self.predictions = acts[-1][..., 0]
         self.output_error = deltas[-1][..., 0]
@@ -386,17 +369,16 @@ def predict(net: Network, X) -> np.ndarray:
 
 
 class Predictor:
-    """predict for many networks of one architecture, through a parameter
-    buffer and, per shape of X, forward arrays allocated once: each call
-    copies the network and X into them and runs the forward pass. The
+    """predict for many networks of one architecture, through a network of
+    its own and, per shape of X, forward arrays allocated once: each call
+    copies the parameters and X into them and runs the forward pass. The
     predictions equal predict's bit for bit; they are a buffer that the
     next call for an X of that shape overwrites. Unlike predict, a call
     leaves the overflow warning of the logistic's exp(-a) to the caller."""
 
     def __init__(self, arch: Architecture):
         self.arch = arch
-        self._params = np.empty(count_parameters(arch)[2])
-        self._net = network_from_vector(arch, self._params, copy=False)
+        self._net = Network(arch, np.empty(count_parameters(arch)[2]))
         self._passes: dict[tuple, tuple] = {}  # X's shape -> (X buffer, steps, predictions)
 
     def __call__(self, net: Network, X) -> np.ndarray:
@@ -411,7 +393,7 @@ class Predictor:
             found = self._passes[X.shape] = (acts[0], _forward_steps(self._net, pre, acts),
                                              acts[-1][:, 0])
         x, steps, predictions = found
-        param_vector(net, out=self._params)
+        np.copyto(self._net.params, net.params)
         np.copyto(x, X)
         _run_forward(steps)
         return predictions
@@ -434,7 +416,8 @@ def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarra
 
 
 def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None) -> np.ndarray:
-    """Mean gradient over instances as a flat vector in param_vector layout.
+    """Mean gradient over instances as a flat vector in Network's params
+    layout.
 
     kept selects a row subset (trimmed aggregation); None averages all rows.
     """
@@ -449,15 +432,3 @@ def mean_gradient_vector(trace: BatchTrace, deltas: list[np.ndarray], kept=None)
     steps = _sum_steps(deltas, inputs)
     n = _gradient_sum(steps, weights, intercepts)
     return np.divide(flat, n, out=flat)
-
-
-def weight_vec_norm(net: Network) -> float:
-    """Euclidean norm of the flattened (intercepts, weights) vector.
-
-    Returns +inf whenever any parameter is non-finite, so the value is usable
-    directly as a breakdown marker.
-    """
-    vec = param_vector(net)
-    if not np.isfinite(vec).all():
-        return float("inf")
-    return float(np.linalg.norm(vec))

@@ -16,14 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import losses as L
-from .net import (
-    BatchKernel,
-    Network,
-    _split,
-    count_parameters,
-    network_from_vector,
-    param_vector,
-)
+from .net import BatchKernel, Network, count_parameters
 
 DEFAULT_DIVERGE_NORM = 1e8
 STEPMAX_SHALLOW = 100_000
@@ -227,8 +220,8 @@ class _LossGroup:
         # a row of the group's losses -> that row in the kernel's (B*n) rows
         self.row_shift = start * n
         self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
-        self.grad = batch.grad[start:end]
-        self.grad_weights, self.grad_intercepts = _split(self.grad, batch.arch.layer_sizes)
+        grad = Network(batch.arch, batch.grad[start:end])
+        self.grad_weights, self.grad_intercepts = grad.weights, grad.intercepts
         self.per = self.delta = self.kept = None
 
     def losses(self) -> list[float]:
@@ -268,7 +261,7 @@ class _Slots:
         self.Y = np.zeros((capacity, n))
         self.r = np.empty((capacity, n))
         self.rows = np.empty((capacity, 1))
-        self.kernel = BatchKernel(network_from_vector(arch, self.params, copy=False), self.X)
+        self.kernel = BatchKernel(Network(arch, self.params), self.X)
         self.slots: list[_Slot | None] = []
         # the loss of each slot's run, or of its last run while it is free
         self.losses: list[L.LossSpec] = []
@@ -293,7 +286,8 @@ class _Slots:
         free = [b for b, slot in enumerate(self.slots) if slot is None]
         b = next((b for b in free if self.losses[b] == job.loss),
                  free[0] if free else len(self.slots))
-        params = param_vector(job.net, out=self.params[b])
+        params = self.params[b]
+        params[:] = job.net.params
         norm0 = math.sqrt(params.dot(params))  # as np.linalg.norm computes it
         if not norm0 < job.diverge_norm:
             raise ValueError("diverge_norm must exceed the initial weight norm")
@@ -353,8 +347,8 @@ class _Slots:
         untrimmed = self.trimmed[0].start if self.trimmed else live
         if untrimmed != self.untrimmed:
             self.untrimmed = untrimmed
-            self.grad_weights, self.grad_intercepts = _split(self.grad[:untrimmed],
-                                                             self.arch.layer_sizes)
+            grad = Network(self.arch, self.grad[:untrimmed])
+            self.grad_weights, self.grad_intercepts = grad.weights, grad.intercepts
 
     def prepare(self) -> None:
         """The callback lists and epoch cap of the runs in the slots, as
@@ -373,7 +367,7 @@ class _Slots:
         ended[b] = TrainOutcome(
             status=status,
             epochs_used=self.epoch - slot.first + 1,
-            final_net=network_from_vector(self.arch, self.params[b]),
+            final_net=Network(self.arch, self.params[b].copy()),
             sup_weight_norm=slot.sup,
             breakdown=status == TrainStatus.DIVERGED or slot.sup >= slot.job.diverge_norm,
             norm_history=None if slot.norms is None else list(slot.norms),

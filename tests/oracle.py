@@ -1,8 +1,9 @@
 """Per-instance reference route for the training arithmetic, kept for tests.
 
 train sums the gradient over the kept rows in one pass through
-net.BatchKernel. This module builds one flat gradient per instance in
-param_vector layout, reduces them with a plain loop (mean, or trimmed mean
+net.BatchKernel. This module builds one flat gradient per instance in the
+layout of Network.params (intercepts first, then weights), as flatten
+spells it out, reduces them with a plain loop (mean, or trimmed mean
 over the instances with the smallest losses), and applies the optimizer's
 own update rule to copies of the parameters, so tests can compare the
 fused route against an instance-by-instance one. intercept_sum is the
@@ -18,14 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustnn import losses as L
-from robustnn.net import (
-    Network,
-    batch_deltas,
-    forward_batch,
-    network_from_vector,
-    param_vector,
-)
+from robustnn.net import Network, batch_deltas, forward_batch
 from robustnn.optimizer import OptimizerSpec, Rule, _in_place_update
+
+
+def flatten(net: Network) -> np.ndarray:
+    """A new vector of net's intercepts and then its weights, layer by layer,
+    each weight matrix row by row; for a stacked network, one such vector
+    per slot."""
+    lead = net.params.shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for a in net.intercepts + net.weights],
+                          axis=-1)
 
 
 def dloss_dprediction(spec: L.LossSpec, r, delta: float | None = None):
@@ -35,7 +39,7 @@ def dloss_dprediction(spec: L.LossSpec, r, delta: float | None = None):
 
 def backprop(net: Network, X, dloss_dpred) -> np.ndarray:
     """Per-instance parameter gradients, one row per row of X, each a flat
-    vector in param_vector layout (intercepts first).
+    vector in the layout flatten gives (intercepts first).
 
     The caller supplies dL/dyhat per instance (the residual-gradient part of
     the chosen loss); this routine only applies the network chain rule and
@@ -115,7 +119,7 @@ def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
     gradient, through the update rule train uses.
 
     Neither the network nor the state passed in is modified."""
-    params = param_vector(net)
+    params = net.params.copy()
     steps = signs = None
     if spec.rule == Rule.RPROP_PLUS:
         if state is None:
@@ -125,7 +129,7 @@ def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
         steps, signs = state.step_sizes, state.prev_grad_signs
     _in_place_update(spec, params.shape[0], steps, signs)(
         params, np.asarray(agg, dtype=np.float64))
-    return network_from_vector(net.architecture, params, copy=False), state
+    return Network(net.architecture, params), state
 
 
 def _sign(x: float) -> float:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from robustnn import losses as L
-from robustnn.net import Activation, network_from_vector, param_vector
+from robustnn.net import Activation, Network
 from robustnn.optimizer import DEFAULT_DIVERGE_NORM, Rule, TrainOutcome, TrainStatus
 
 
@@ -141,7 +141,7 @@ def reference_train(net, data, loss_spec, spec, diverge_norm=DEFAULT_DIVERGE_NOR
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.array(Y, dtype=np.float64)
 
-    params = param_vector(net)
+    params = net.params.copy()
     n_total = params.shape[0]
     norm0 = float(np.linalg.norm(params))
     if not norm0 < diverge_norm:
@@ -156,7 +156,7 @@ def reference_train(net, data, loss_spec, spec, diverge_norm=DEFAULT_DIVERGE_NOR
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, spec.stepmax + 1):
             epochs = epoch
-            live = network_from_vector(arch, params, copy=False)
+            live = Network(arch, params)
             pre, acts, predictions = reference_forward_batch(live, X)
             r = Y - predictions
 
@@ -205,7 +205,7 @@ def reference_train(net, data, loss_spec, spec, diverge_norm=DEFAULT_DIVERGE_NOR
     return TrainOutcome(
         status=status,
         epochs_used=epochs,
-        final_net=network_from_vector(arch, params),
+        final_net=Network(arch, params.copy()),
         sup_weight_norm=sup_norm,
         breakdown=breakdown,
         norm_history=norms,

@@ -37,13 +37,12 @@ from robustnn.net import (
     Activation,
     Architecture,
     BatchKernel,
+    Network,
     batch_deltas,
     count_parameters,
     forward_batch,
     init_weights,
     mean_gradient_vector,
-    network_from_vector,
-    param_vector,
 )
 from robustnn.optimizer import OptimizerSpec, Rule, TrainJob, train, train_slots
 
@@ -118,10 +117,10 @@ def test_c01_gradient_oracle():
                                               range(int(rng.integers(1, 3)))),
                                         act, Activation.IDENTITY)
                     net = init_weights(arch, rng)
-                    p0 = param_vector(net)
+                    p0 = net.params
 
                     def mean_loss_at(params, X, y, rows=None):
-                        p = forward_batch(network_from_vector(arch, params), X).predictions
+                        p = forward_batch(Network(arch, params), X).predictions
                         per = L.loss_value(spec, y - p, delta)
                         return float(np.mean(per if rows is None else per[rows]))
 
@@ -145,12 +144,12 @@ def test_c01_gradient_oracle():
                         net, trace, -L.loss_gradient(spec, Y - trace.predictions, delta))
                     kept = np.sort(rng_rows.choice(C01_ROWS, replace=False,
                                                    size=int(rng_rows.integers(1, C01_ROWS))))
-                    kernel = BatchKernel(network_from_vector(arch, p0[None], copy=False), X[None])
+                    kernel = BatchKernel(Network(arch, p0[None]), X[None])
                     predictions = kernel.forward()
                     kernel.output_error[:] = -L.loss_gradient(spec, Y - predictions[0], delta)
                     kernel.backward()
                     grad = np.empty((1, p0.size))
-                    sums = network_from_vector(arch, grad, copy=False)
+                    sums = Network(arch, grad)
                     for rows in (None, kept):
                         fd = finite_differences(lambda v: mean_loss_at(v, X, Y, rows), p0)
                         assert_matches(mean_gradient_vector(trace, deltas, rows), fd)
@@ -193,7 +192,7 @@ def breakdown_runs(loss):
         X, y = breakdown_data(1000 + seed)
         net = init_weights(SHALLOW, np.random.default_rng(2000 + seed))
         jobs.append(TrainJob(net, (X, y), loss, diverge_norm=1e8, tag=seed))
-    ended = {job.tag: (float(np.linalg.norm(param_vector(job.net))), outcome)
+    ended = {job.tag: (float(np.linalg.norm(job.net.params)), outcome)
              for job, outcome in train_slots(jobs, spec, slots=len(jobs))}
     return [ended[seed] for seed in range(5)]
 
@@ -322,8 +321,8 @@ def test_c08_gradient_scale_invariance_of_trajectories():
                                   L.LossSpec.squared(), spec,
                                   record_norms=True, grad_transform=transform))
             a, b = outs
-            np.testing.assert_array_equal(param_vector(a.final_net),
-                                          param_vector(b.final_net))
+            np.testing.assert_array_equal(a.final_net.params,
+                                          b.final_net.params)
             assert a.norm_history == b.norm_history
 
 

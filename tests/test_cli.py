@@ -136,6 +136,23 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(tmp_path / "nope.json")
 
+    def test_a_repeated_config_id_is_rejected_before_any_output(self, tmp_path, capsys):
+        # the id leaves out snr, so these two configurations share one
+        doc = base_doc(data=[{"p": 3, "n_train": 30, "n_test": 12, "snr": 2.0},
+                             {"p": 3, "n_train": 30, "n_test": 12, "snr": 4.0}])
+        path = write_config(tmp_path, doc)
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(path)
+        (cfg,) = {cfg.config_id for cfg in cli.expand_config(doc)}
+        assert f"'{cfg}' occurs twice" in str(info.value)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: configuration id '{cfg}' occurs twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the same document twice in one list repeats every id
+        with pytest.raises(cli.ConfigError, match="occurs twice"):
+            cli.parse_config(write_config(tmp_path, [base_doc(), base_doc()], "twice.json"))
+
 
 class TestFloatFormatting:
     def test_tokens(self):
@@ -302,6 +319,33 @@ class TestCmdReport:
             root = ET.parse(svg).getroot()
             assert root.tag.endswith("svg")
         assert (charts / "report_data.csv").exists()
+
+    GOOD_ROW = "s_lin_squared,lin,30,3,logistic,shallow,true,none,0.0,10.0,squared,4,3,1,0.5,10.0,0.25"
+
+    @pytest.mark.parametrize("header,row,message", [
+        ("config_id,loss", "x,squared", "column 2 is 'loss', expected 'structure'"),
+        (",".join(cli.SUMMARY_HEADER[:-1]), GOOD_ROW.rsplit(",", 1)[0],
+         "column 17 is None, expected 'breakdown_rate_surrogate'"),
+        (",".join(cli.SUMMARY_HEADER + ["extra"]), GOOD_ROW + ",1",
+         "column 18 is 'extra', expected None"),
+        (",".join(cli.SUMMARY_HEADER), GOOD_ROW.replace(",4,3,1,", ",4,3.0,1,"),
+         "line 2, column 'n_converged': '3.0' is not a count"),
+        (",".join(cli.SUMMARY_HEADER), GOOD_ROW.replace(",4,3,1,", ",4,3,-1,"),
+         "line 2, column 'n_inf_losses': '-1' is not a count"),
+        (",".join(cli.SUMMARY_HEADER), GOOD_ROW.replace(",0.5,", ",half,"),
+         "line 2, column 'mean_finite_test_loss': 'half' is not a number"),
+        (",".join(cli.SUMMARY_HEADER), GOOD_ROW.rsplit(",", 1)[0], "line 2 has 16 fields"),
+    ], ids=["foreign-header", "short-header", "extra-column", "float-count",
+            "negative-count", "word-mean", "short-row"])
+    def test_a_summary_run_did_not_write_is_a_named_error(self, tmp_path, capsys,
+                                                           header, row, message):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(f"{header}\n{row}\n")
+        charts = tmp_path / "charts"
+        assert cli.main(["report", "--summary", str(summary), "--out", str(charts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {summary}: ") and message in err
+        assert not charts.exists()
 
     def test_missing_bar_and_inf_annotation(self, tmp_path):
         # hand-written summary: one cell converged with an infinite loss,

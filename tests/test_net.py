@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import backprop, canonical_bytes, dloss_dprediction, intercept_sum
+from oracle import backprop, canonical_bytes, dloss_dprediction, flatten, intercept_sum
 from robustnn import losses as L
 from robustnn.net import (
     _ACTIVATE,
@@ -13,16 +13,14 @@ from robustnn.net import (
     Activation,
     Architecture,
     BatchKernel,
+    Network,
     Predictor,
-    _split,
     count_parameters,
     forward_batch,
     init_weights,
-    network_from_vector,
-    param_vector,
     predict,
-    weight_vec_norm,
 )
+from robustnn.optimizer import OptimizerSpec, train
 
 
 def make_arch(p, hidden, hidden_act=Activation.LOGISTIC, out_act=Activation.IDENTITY):
@@ -30,7 +28,14 @@ def make_arch(p, hidden, hidden_act=Activation.LOGISTIC, out_act=Activation.IDEN
 
 
 def zero_network(arch):
-    return network_from_vector(arch, np.zeros(count_parameters(arch)[2]))
+    return Network(arch, np.zeros(count_parameters(arch)[2]))
+
+
+def views(arch, params):
+    """The per-layer (weights, intercepts) views of a (stacked) parameter
+    array, the arrays a gradient sum writes into."""
+    net = Network(arch, params)
+    return net.weights, net.intercepts
 
 
 def forward_one(net, x):
@@ -80,8 +85,7 @@ class TestActivations:
         # through the activation on the way to the identity output
         z = np.array([-800.0, -2.0, 0.0, 2.0, 31.0, 800.0])
         for kind in Activation:
-            net = network_from_vector(make_arch(1, [1], hidden_act=kind),
-                                      np.array([0.0, 0.0, 1.0, 1.0]))
+            net = Network(make_arch(1, [1], hidden_act=kind), np.array([0.0, 0.0, 1.0, 1.0]))
             np.testing.assert_array_equal(forward_batch(net, z[:, None]).predictions,
                                           activation(kind, z))
 
@@ -118,12 +122,12 @@ class TestInitWeights:
     def test_all_parameters_finite(self):
         arch = make_arch(7, [6, 3], Activation.SOFTPLUS)
         net = init_weights(arch, np.random.default_rng(3))
-        assert np.isfinite(param_vector(net)).all()
+        assert np.isfinite(net.params).all()
 
     def test_parameter_count_shallow_p5(self):
         arch = make_arch(5, [10, 10])
         net = init_weights(arch, np.random.default_rng(0))
-        assert param_vector(net).size == 181
+        assert net.params.size == 181
 
 
 class TestCountParameters:
@@ -243,7 +247,7 @@ class TestBackprop:
         X = np.random.default_rng(8).standard_normal((5, 2))
         y = np.random.default_rng(9).standard_normal(5)
         r = y - forward_batch(net, X).predictions
-        # intercepts come first in param_vector layout, the output one last
+        # intercepts come first in a network's params, the output one last
         out_intercept = count_parameters(arch)[0] - 1
         for spec, delta in [(L.LossSpec.squared(), None),
                             (L.LossSpec.huber(1.0), None),
@@ -255,7 +259,7 @@ class TestBackprop:
 
     @staticmethod
     def _total_loss(arch, params, X, y, spec, delta=None):
-        net = network_from_vector(arch, params)
+        net = Network(arch, params)
         preds = forward_batch(net, X).predictions
         return float(L.loss_value(spec, y - preds, delta).sum())
 
@@ -292,7 +296,7 @@ class TestBackprop:
                     grads = backprop(net, X, dl)
                     analytic = np.sum(grads, axis=0)
 
-                    p0 = param_vector(net)
+                    p0 = net.params
                     fd = np.zeros_like(p0)
                     for i in range(p0.size):
                         up = p0.copy()
@@ -310,43 +314,66 @@ class TestBackprop:
         assert combos >= 50
 
 
-class TestWeightVecNorm:
-    def test_zero_network(self):
-        assert weight_vec_norm(zero_network(make_arch(3, [2]))) == 0.0
+class TestNetwork:
+    def test_views_alias_params_both_ways(self):
+        arch = make_arch(3, [4, 2], Activation.SOFTPLUS)
+        for params in (np.zeros(count_parameters(arch)[2]),
+                       np.zeros((3, count_parameters(arch)[2]))):
+            net = Network(arch, params)
+            for a in net.intercepts + net.weights:
+                assert np.shares_memory(a, params)
+            params[..., -1] = 2.5          # the last weight of the output layer
+            assert np.all(net.weights[-1][..., 0, -1] == 2.5)
+            net.intercepts[0][..., 1] = -1.0
+            assert np.all(params[..., 1] == -1.0)
+            net.weights[0][..., 3, 2] = 7.0  # node 3 of layer 1 from input 2
+            assert np.all(params[..., 7 + 3 * 3 + 2] == 7.0)  # after 7 intercepts
 
-    def test_three_four_five(self):
-        arch = make_arch(2, [2])
-        net = zero_network(arch)
+    def test_a_float64_input_is_not_copied(self):
+        arch = make_arch(2, [3])
+        params = np.arange(count_parameters(arch)[2], dtype=np.float64)
+        assert Network(arch, params).params is params
+        ints = Network(arch, list(range(params.size)))
+        assert ints.params.dtype == np.float64
+        np.testing.assert_array_equal(ints.params, params)
+
+    @pytest.mark.parametrize("shape", [(3,), (20,), (), (2, 2, 21), (0,)])
+    def test_a_wrong_length_or_ndim_is_rejected(self, shape):
+        arch = make_arch(3, [4])  # 21 parameters
+        with pytest.raises(ValueError, match="length 21"):
+            Network(arch, np.zeros(shape))
+
+    def test_params_equal_the_flattened_views(self):
+        for seed, arch in enumerate([make_arch(1, [1]), make_arch(4, [5, 3]),
+                                     make_arch(5, (10, 10), Activation.SOFTPLUS)]):
+            net = init_weights(arch, np.random.default_rng(seed))
+            assert flatten(net).tobytes() == net.params.tobytes()
+            stacked = Network(arch, np.random.default_rng(seed).standard_normal(
+                (4, count_parameters(arch)[2])))
+            assert flatten(stacked).tobytes() == stacked.params.tobytes()
+            for row in stacked.params:
+                assert flatten(Network(arch, row)).tobytes() == row.tobytes()
+
+    def test_train_outcomes_keep_the_layout(self):
+        arch = make_arch(2, [3])
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 2))
+        for loss in (L.LossSpec.squared(), L.LossSpec.trimmed(0.5)):
+            out = train(init_weights(arch, rng), (X, np.sin(X[:, 0])), loss,
+                        OptimizerSpec(stepmax=50))
+            assert out.epochs_used > 1
+            assert flatten(out.final_net).tobytes() == out.final_net.params.tobytes()
+
+    def test_norm_of_params(self):
+        # the probe prints this norm for the initial network
+        assert np.linalg.norm(zero_network(make_arch(3, [2])).params) == 0.0
+        net = zero_network(make_arch(2, [2]))
         net.weights[0][0, 0] = 3.0
         net.intercepts[1][0] = 4.0
-        assert weight_vec_norm(net) == 5.0
-
-    def test_matches_flatten_oracle(self):
+        assert np.linalg.norm(net.params) == 5.0
         net = init_weights(make_arch(4, [5, 3]), np.random.default_rng(31))
-        flat = np.concatenate([v.ravel() for v in net.intercepts]
-                              + [w.ravel() for w in net.weights])
-        oracle = math.sqrt(float(np.sum(flat * flat)))
-        assert weight_vec_norm(net) == pytest.approx(oracle, rel=1e-14, abs=0.0)
-
-    def test_nonfinite_parameter_flags_infinity(self):
-        net = init_weights(make_arch(2, [2]), np.random.default_rng(1))
-        net.weights[1][0, 0] = np.nan
-        assert weight_vec_norm(net) == math.inf
-        net.weights[1][0, 0] = np.inf
-        assert weight_vec_norm(net) == math.inf
-
-
-class TestVectorRoundTrip:
-    def test_param_vector_round_trip(self):
-        arch = make_arch(3, [4, 2], Activation.SOFTPLUS)
-        net = init_weights(arch, np.random.default_rng(8))
-        vec = param_vector(net)
-        again = network_from_vector(arch, vec)
-        np.testing.assert_array_equal(param_vector(again), vec)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            network_from_vector(make_arch(3, [4]), np.zeros(3))
+        oracle = math.sqrt(float(np.sum(flatten(net) ** 2)))
+        assert np.linalg.norm(net.params) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 # ten hidden layers of 5, the study's deep networks, and softplus networks,
@@ -380,22 +407,22 @@ class TestBatchKernelGradientSum:
         params = rng.standard_normal((slots, n_params))
         X = rng.standard_normal((slots, n, arch.input_dim))
         dloss = rng.standard_normal((slots, n))
-        kernel = BatchKernel(network_from_vector(arch, params, copy=False), X)
+        kernel = BatchKernel(Network(arch, params), X)
         with np.errstate(over="ignore"):  # the logistic's exp(-a) may overflow to its limit
             kernel.forward()
             kernel.output_error[...] = dloss
             kernel.backward()
 
         full = np.full((k, n_params), np.nan)
-        assert kernel.gradient_sum(*_split(full, arch.layer_sizes)) == n
+        assert kernel.gradient_sum(*views(arch, full)) == n
         kept = np.sort(np.stack([rng.permutation(n)[:h] for _ in range(count)]), axis=1)
         trimmed = np.full((count, n_params), np.nan)
         rows = kept + np.arange(start, start + count)[:, None] * n
-        assert kernel.gradient_sum(*_split(trimmed, arch.layer_sizes), rows) == h
+        assert kernel.gradient_sum(*views(arch, trimmed), rows) == h
 
         for got, b, subset in [(full[b], b, slice(None)) for b in range(k)] + \
                 [(trimmed[j], start + j, kept[j]) for j in range(count)]:
-            net = network_from_vector(arch, params[b])
+            net = Network(arch, params[b])
             per_instance = backprop(net, X[b], dloss[b])[subset]
             want = per_instance.sum(axis=0)
             # both sums round each term and partial sum once or so
@@ -431,8 +458,7 @@ class TestInterceptSum:
         rng = np.random.default_rng(seed)
         arch = make_arch(2, widths)
         n_params = count_parameters(arch)[2]
-        kernel = BatchKernel(network_from_vector(arch, np.zeros((slots, n_params)), copy=False),
-                             np.zeros((slots, n, 2)))
+        kernel = BatchKernel(Network(arch, np.zeros((slots, n_params))), np.zeros((slots, n, 2)))
         for z in kernel.acts[1:]:
             z[...] = 0.0
         for d in kernel.deltas:
@@ -445,15 +471,14 @@ class TestInterceptSum:
         kept = np.sort(np.stack([rng.choice(n, h, replace=False) for _ in group]), axis=1)
         gathered = np.full((g, n_params), 7.0)
         with np.errstate(all="ignore"):
-            assert kernel.gradient_sum(*_split(full, arch.layer_sizes)) == n
-            assert kernel.gradient_sum(*_split(gathered, arch.layer_sizes),
-                                       kept + group[:, None] * n) == h
+            assert kernel.gradient_sum(*views(arch, full)) == n
+            assert kernel.gradient_sum(*views(arch, gathered), kept + group[:, None] * n) == h
             for layer, d in enumerate(kernel.deltas):
                 want_full = intercept_sum(d[:k])
                 want_gathered = intercept_sum(
                     np.stack([d[b][rows] for b, rows in zip(group, kept)]))
-                got_full = _split(full, arch.layer_sizes)[1][layer]
-                got_gathered = _split(gathered, arch.layer_sizes)[1][layer]
+                got_full = Network(arch, full).intercepts[layer]
+                got_gathered = Network(arch, gathered).intercepts[layer]
                 assert canonical_bytes(got_full) == canonical_bytes(want_full), layer
                 assert canonical_bytes(got_gathered) == canonical_bytes(want_gathered), layer
 

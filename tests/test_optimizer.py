@@ -20,11 +20,10 @@ from robustnn.datagen import DataGenSpec, Structure, fit_standardizer, generate_
 from robustnn.net import (
     Activation,
     Architecture,
+    Network,
     count_parameters,
     forward_batch,
     init_weights,
-    network_from_vector,
-    param_vector,
 )
 from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, _in_place_update, train
 
@@ -33,7 +32,7 @@ def tiny_net(values=None):
     arch = Architecture(1, (1,), Activation.LOGISTIC, Activation.IDENTITY)
     n = count_parameters(arch)[2]  # 4 parameters
     vec = np.zeros(n) if values is None else np.asarray(values, dtype=float)
-    return network_from_vector(arch, vec)
+    return Network(arch, vec)
 
 
 class TestOptimizerSpecValidation:
@@ -60,14 +59,14 @@ class TestSignGdStep:
         agg = [0.3, 0.0, 0.0, 0.0]
         spec = OptimizerSpec(rule=Rule.SIGN_GD, eta=0.1)
         new_net, _ = step(spec, None, net, agg)
-        assert param_vector(new_net)[0] == pytest.approx(0.9, abs=0.0)
-        np.testing.assert_array_equal(param_vector(new_net)[1:], [0.0, 0.0, 0.0])
+        assert new_net.params[0] == pytest.approx(0.9, abs=0.0)
+        np.testing.assert_array_equal(new_net.params[1:], [0.0, 0.0, 0.0])
 
     def test_zero_gradient_leaves_network_unchanged(self):
         net = tiny_net([1.0, -2.0, 3.0, 0.5])
         agg = np.zeros(4)
         new_net, _ = step(OptimizerSpec(rule=Rule.SIGN_GD), None, net, agg)
-        np.testing.assert_array_equal(param_vector(new_net), param_vector(net))
+        np.testing.assert_array_equal(new_net.params, net.params)
 
 
 class TestRpropStep:
@@ -77,7 +76,7 @@ class TestRpropStep:
         trail = []
         for g in grads:
             net, state = step(spec, state, net, g)
-            trail.append((param_vector(net)[0], state.step_sizes[0],
+            trail.append((net.params[0], state.step_sizes[0],
                           state.prev_grad_signs[0]))
         return trail
 
@@ -99,7 +98,7 @@ class TestRpropStep:
         net = tiny_net([0.2, 0.4, -0.8, 1.0])
         state = RpropState.initial(4, spec)
         new_net, new_state = step(spec, state, net, np.zeros(4))
-        np.testing.assert_array_equal(param_vector(new_net), param_vector(net))
+        np.testing.assert_array_equal(new_net.params, net.params)
         np.testing.assert_array_equal(new_state.step_sizes, state.step_sizes)
         np.testing.assert_array_equal(new_state.prev_grad_signs, state.prev_grad_signs)
 
@@ -163,7 +162,7 @@ class TestTrain:
         out = train(net, (X, y), L.LossSpec.squared(), OptimizerSpec(stepmax=100))
         assert out.status == TrainStatus.CONVERGED
         assert out.epochs_used == 1
-        np.testing.assert_array_equal(param_vector(out.final_net), param_vector(net))
+        np.testing.assert_array_equal(out.final_net.params, net.params)
 
     def test_stepmax_cap_is_respected(self):
         X, y = clean_lin_data(0)
@@ -228,8 +227,8 @@ class TestPositiveScaleInvariance:
                             record_norms=True, grad_transform=transform)
                 runs.append(out)
             a, b = runs
-            np.testing.assert_array_equal(param_vector(a.final_net),
-                                          param_vector(b.final_net))
+            np.testing.assert_array_equal(a.final_net.params,
+                                          b.final_net.params)
             assert a.norm_history == b.norm_history
             assert a.epochs_used == b.epochs_used
 
@@ -248,7 +247,7 @@ class TestBreakdownBehaviour:
         X, y = self.setup_data(11)
         arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
         net = init_weights(arch, np.random.default_rng(12))
-        n0 = float(np.linalg.norm(param_vector(net)))
+        n0 = float(np.linalg.norm(net.params))
         out = train(net, (X, y), L.LossSpec.squared(),
                     OptimizerSpec(rule=Rule.SIGN_GD, stepmax=3000))
         assert out.sup_weight_norm > 20 * n0
@@ -257,7 +256,7 @@ class TestBreakdownBehaviour:
         X, y = self.setup_data(11)
         arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
         net = init_weights(arch, np.random.default_rng(12))
-        n0 = float(np.linalg.norm(param_vector(net)))
+        n0 = float(np.linalg.norm(net.params))
         out = train(net, (X, y), L.LossSpec.trimmed(0.5),
                     OptimizerSpec(rule=Rule.SIGN_GD, stepmax=3000))
         assert out.sup_weight_norm < 10 * n0
@@ -284,8 +283,8 @@ class TestStepAndAggregationAgree:
             per_losses = L.loss_value(loss_spec, r, delta)
             grads = backprop(net, X, dloss_dprediction(loss_spec, r, delta))
             agg = aggregate_gradients(grads, per_losses, loss_spec)
-            expected = param_vector(net) - 0.1 * np.sign(agg)
-            np.testing.assert_array_equal(param_vector(out.final_net), expected)
+            expected = net.params - 0.1 * np.sign(agg)
+            np.testing.assert_array_equal(out.final_net.params, expected)
 
 
 class TestStackedRpropProperties:

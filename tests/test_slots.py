@@ -20,7 +20,7 @@ from robustnn.contamination import (
     make_iterative_attack_hook,
 )
 from robustnn.datagen import DataGenSpec, Structure, generate_dataset
-from robustnn.net import Activation, Architecture, init_weights, param_vector
+from robustnn.net import Activation, Architecture, init_weights
 from robustnn.optimizer import (
     SLOTS,
     OptimizerSpec,
@@ -52,7 +52,7 @@ def assert_same_outcome(got, want):
         assert got.norm_history is None
     else:
         assert bits(got.norm_history) == bits(want.norm_history)
-    assert bits(param_vector(got.final_net)) == bits(param_vector(want.final_net))
+    assert bits(got.final_net.params) == bits(want.final_net.params)
     assert got.final_net.architecture == want.final_net.architecture
 
 
@@ -295,6 +295,26 @@ def test_jobs_are_drawn_only_when_a_slot_is_free():
     assert max(in_flight) <= 3
 
 
+def test_each_outcome_owns_its_final_network():
+    # one slot, refilled by each run after the first: every outcome keeps
+    # its parameters when the slot's row is overwritten
+    arch = Architecture(2, (3,), Activation.LOGISTIC, Activation.IDENTITY)
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((20, 2))
+    jobs = [TrainJob(init_weights(arch, rng), (X, np.sin(k * X[:, 0])), L.LossSpec.squared())
+            for k in (1, 2, 3)]
+    ended = [(job, outcome, outcome.final_net.params.tobytes())
+             for job, outcome in train_slots(jobs, OptimizerSpec(stepmax=30), slots=1)]
+    assert len(ended) == 3 and len({kept for *_, kept in ended}) == 3
+    for i, (job, outcome, kept) in enumerate(ended):
+        assert outcome.epochs_used > 1
+        assert outcome.final_net.params.tobytes() == kept
+        assert not any(np.shares_memory(outcome.final_net.params, other.net.params)
+                       for other in jobs)
+        for _, later, _ in ended[i + 1:]:
+            assert not np.shares_memory(outcome.final_net.params, later.final_net.params)
+
+
 def sweep_configs():
     data = DataGenSpec(p=3, n_train=40, n_test=16, structure=Structure.LIN)
     cfgs = []
@@ -369,7 +389,7 @@ def assert_same_preparation(got, want):
         predictions, losses, y = rng.standard_normal((3, a.train.X.shape[0]))
         assert bits(a.hook(1, predictions, losses, y)) == bits(b.hook(1, predictions, losses, y))
     assert got.seed == want.seed
-    assert bits(param_vector(got.net)) == bits(param_vector(want.net))
+    assert bits(got.net.params) == bits(want.net.params)
 
 
 def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):

@@ -28,7 +28,6 @@ from robustnn.net import (
     forward_batch,
     init_weights,
     mean_gradient_vector,
-    param_vector,
 )
 from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, train
 
@@ -72,9 +71,9 @@ def run_both(net, data, loss, spec, diverge_norm=1e8, make_kwargs=dict):
         assert got.norm_history is None
     else:
         assert bits(got.norm_history) == bits(want.norm_history)
-    assert np.array_equal(param_vector(got.final_net), param_vector(want.final_net),
+    assert np.array_equal(got.final_net.params, want.final_net.params,
                           equal_nan=True)
-    assert bits(param_vector(got.final_net)) == bits(param_vector(want.final_net))
+    assert bits(got.final_net.params) == bits(want.final_net.params)
     assert got.final_net.architecture == want.final_net.architecture
     return got
 
@@ -168,7 +167,7 @@ def test_breakdown_by_norm_matches():
     X, y = contaminated_data(23)
     arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
     net = init_weights(arch, np.random.default_rng(47))
-    n0 = float(np.linalg.norm(param_vector(net)))
+    n0 = float(np.linalg.norm(net.params))
     out = run_both(net, (X, 1e6 * y), L.LossSpec.squared(),
                    OptimizerSpec(rule=Rule.SIGN_GD, stepmax=500), diverge_norm=1.5 * n0)
     assert out.breakdown and out.status == TrainStatus.STEP_LIMIT
