@@ -1,0 +1,23 @@
+"""Enum-valued fields of the frozen spec dataclasses, which take a member
+or its string value."""
+
+from __future__ import annotations
+
+
+def member(enum_cls, value, name: str):
+    """The member of enum_cls that value is or names. Anything else raises
+    ValueError starting with the field name, as the specs' checks do."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        valid = ", ".join(e.value for e in enum_cls)
+        raise ValueError(f"{name} must be one of {{{valid}}}, got {value!r}") from None
+
+
+def set_members(spec, **enum_classes) -> None:
+    """Replace each named field of a frozen dataclass by its member of the
+    given enum class; call first in __post_init__."""
+    for name, enum_cls in enum_classes.items():
+        value = getattr(spec, name)
+        if type(value) is not enum_cls:
+            object.__setattr__(spec, name, member(enum_cls, value, name))

@@ -13,14 +13,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
-from itertools import zip_longest
+from dataclasses import MISSING, fields, is_dataclass, replace
+from enum import Enum
+from itertools import product, zip_longest
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from ._spec import member
 from .barchart import BarEntry, render_bar_chart
-from .contamination import ContaminationKind, ContaminationSpec
+from .contamination import ContaminationSpec
 from .datagen import DataGenSpec, Structure, dataset_to_csv, generate_dataset
 from . import experiment as exp
 from .experiment import (
@@ -36,7 +39,7 @@ from .experiment import (
 )
 from .losses import LossSpec
 from .net import Activation
-from .optimizer import OptimizerSpec, Rule
+from .optimizer import OptimizerSpec
 
 SEED_ENV_VAR = "ROBUSTNN_SEED"
 
@@ -59,15 +62,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration parsing
 
-_TOP_KEYS = {"data", "structure", "contamination", "activation", "depth",
-             "standardize", "losses", "replications", "base_seed",
-             "optimizer", "diverge_norm"}
-_DATA_KEYS = {"p", "n_train", "n_test", "snr", "mu"}
-_CONT_KEYS = {"kind", "r", "mu_out", "out_sd"}
-_OPT_KEYS = {"rule", "eta", "delta0", "eta_plus", "eta_minus", "delta_min",
-             "delta_max", "stepmax", "grad_threshold"}
-
-
 def _as_list(value) -> list:
     return list(value) if isinstance(value, list) else [value]
 
@@ -76,12 +70,6 @@ def _require(doc: dict, key: str):
     if key not in doc:
         raise ConfigError(f"missing required key '{key}'")
     return doc[key]
-
-
-def _check_keys(doc: dict, allowed: set, prefix: str = "") -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{prefix}{key}'")
 
 
 def _num(value, key: str) -> float:
@@ -99,14 +87,55 @@ def _int(value, key: str) -> int:
     return value
 
 
-def _build(make, prefix: str, **kwargs):
-    """make(**kwargs), a spec whose own checks do the range validation.
-    Their ValueError messages start with the field name, so prefixing the
-    config section names the offending key."""
+def _bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be boolean, got {value!r}")
+    return value
+
+
+# JSON type checks by a field's annotation; the specs check every other
+# value themselves
+_CHECKS = {"int": _int, "float": _num, "bool": _bool}
+
+
+def _build(make, prefix: str, *args, **kwargs):
+    """make(*args, **kwargs), a spec whose own checks do the range and
+    enum validation. Their ValueError messages start with the field name,
+    so prefixing the config section names the offending key."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _section(doc, cls, prefix: str, lists=(), skip=(), extra=()) -> dict[str, list]:
+    """The values a configuration section gives the fields of cls, by field
+    name in field order, each a list: the keys in lists may hold a list of
+    values, the others hold one. A key that the section leaves out is left
+    out, so that the field's default applies; the fields in skip are not
+    keys of the section, and the keys in extra are read elsewhere."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{prefix[:-1]}' must be an object")
+    known = {f.name: f for f in fields(cls) if f.name not in skip}
+    for key in doc:
+        if key not in known and key not in extra:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    section = {}
+    for name, f in known.items():
+        if name in doc:
+            check = _CHECKS.get(f.type, lambda value, key: value)
+            values = _as_list(doc[name]) if name in lists else [doc[name]]
+            section[name] = [check(value, prefix + name) for value in values]
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key '{prefix}{name}'")
+    return section
+
+
+def _specs(cls, prefix: str, section: dict[str, list]) -> list:
+    """cls built from each combination of the section's values, the last
+    field varying fastest."""
+    return [_build(cls, prefix, **dict(zip(section, values)))
+            for values in product(*section.values())]
 
 
 def parse_loss(token: str) -> LossSpec:
@@ -128,109 +157,43 @@ def parse_loss(token: str) -> LossSpec:
     raise ConfigError(f"unknown loss '{token}' in 'losses'")
 
 
-def _parse_enum(value, enum_cls, key: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"'{key}' must be one of {{{valid}}}, got {value!r}") from None
-
-
-def _parse_data(doc) -> DataGenSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("'data' entries must be objects")
-    _check_keys(doc, _DATA_KEYS, "data.")
-    p = _int(_require(doc, "p"), "data.p")
-    n_train = _int(_require(doc, "n_train"), "data.n_train")
-    n_test = _int(_require(doc, "n_test"), "data.n_test")
-    snr = _num(doc.get("snr", 2.0), "data.snr")
-    mu = _num(doc.get("mu", 0.0), "data.mu")
-    return _build(DataGenSpec, "data.", p=p, n_train=n_train, n_test=n_test, snr=snr, mu=mu)
-
-
-def _parse_optimizer(doc: dict, depth_stepmax: int) -> OptimizerSpec:
-    _check_keys(doc, _OPT_KEYS, "optimizer.")
-    kwargs = {}
-    if "rule" in doc:
-        kwargs["rule"] = _parse_enum(doc["rule"], Rule, "optimizer.rule")
-    for key in ("eta", "delta0", "eta_plus", "eta_minus", "delta_min",
-                "delta_max", "grad_threshold"):
-        if key in doc:
-            kwargs[key] = _num(doc[key], f"optimizer.{key}")
-    kwargs["stepmax"] = (_int(doc["stepmax"], "optimizer.stepmax")
-                         if "stepmax" in doc else depth_stepmax)
-    return _build(OptimizerSpec, "optimizer.", **kwargs)
-
-
 def expand_config(doc: dict) -> list[ExperimentConfig]:
     """Expand one configuration document into the factorial product of its
     list-valued keys. Expansion order is fixed so config ordering (and with
     it every downstream artifact) is deterministic."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS)
-
-    datas = [_parse_data(d) for d in _as_list(_require(doc, "data"))]
-    structures = [_parse_enum(s, Structure, "structure")
-                  for s in _as_list(_require(doc, "structure"))]
-
-    cont = _require(doc, "contamination")
-    if not isinstance(cont, dict):
-        raise ConfigError("'contamination' must be an object")
-    _check_keys(cont, _CONT_KEYS, "contamination.")
-    kinds = [_parse_enum(k, ContaminationKind, "contamination.kind")
-             for k in _as_list(_require(cont, "kind"))]
-    radii = [_num(v, "contamination.r") for v in _as_list(cont.get("r", 0.0))]
-    mus = [_num(v, "contamination.mu_out") for v in _as_list(cont.get("mu_out", 10.0))]
-    out_sd = _num(cont.get("out_sd", 1.0), "contamination.out_sd")
-
-    activations = [_parse_enum(a, Activation, "activation")
-                   for a in _as_list(_require(doc, "activation"))]
+    # the top level sets ExperimentConfig's fields, with the losses as a
+    # list of tokens and the data's structure beside the data
+    top = _section(doc, ExperimentConfig, "", lists=("data", "activation", "depth", "standardize"),
+                   skip=("loss",), extra=("structure", "losses"))
+    structures = _as_list(_require(doc, "structure"))
+    losses = [parse_loss(t) for t in _as_list(_require(doc, "losses"))]
+    datas = [_build(replace, "", data, structure=structure)
+             for entry in top.pop("data")
+             for data in _specs(DataGenSpec, "data.",
+                                _section(entry, DataGenSpec, "data.", skip=("structure",)))
+             for structure in structures]
+    conts = _specs(ContaminationSpec, "contamination.",
+                   _section(top.pop("contamination")[0], ContaminationSpec, "contamination.",
+                            lists=("kind", "r", "mu_out")))
+    activations = [_build(member, "", Activation, a, "activation") for a in top.pop("activation")]
     if Activation.IDENTITY in activations:
         raise ConfigError("'activation' must be logistic or softplus")
-    depths = [_parse_enum(d, Depth, "depth") for d in _as_list(_require(doc, "depth"))]
-    standardizes = _as_list(_require(doc, "standardize"))
-    for s in standardizes:
-        if not isinstance(s, bool):
-            raise ConfigError(f"'standardize' must be boolean, got {s!r}")
-    loss_specs = [parse_loss(t) for t in _as_list(_require(doc, "losses"))]
+    depths = [_build(member, "", Depth, depth, "depth") for depth in top.pop("depth")]
+    standardizes = top.pop("standardize")
+    opt_doc = top.pop("optimizer", [None])[0]
+    opt = None if opt_doc is None else _section(opt_doc, OptimizerSpec, "optimizer.")
+    # an optimizer section without stepmax takes the depth's epoch cap
+    optimizers = [None if opt is None else _specs(
+        OptimizerSpec, "optimizer.", {"stepmax": [exp.DEPTH_STEPMAX[depth]], **opt})[0]
+        for depth in depths]
+    fixed = {name: value for name, (value,) in top.items()}
 
-    replications = _int(_require(doc, "replications"), "replications")
-    base_seed = _int(_require(doc, "base_seed"), "base_seed")
-    diverge_norm = _num(doc.get("diverge_norm", 1e8), "diverge_norm")
-
-    opt_doc = doc.get("optimizer")
-    if opt_doc is not None and not isinstance(opt_doc, dict):
-        raise ConfigError("'optimizer' must be an object")
-
-    cfgs = []
-    for data in datas:
-        for structure in structures:
-            dspec = replace(data, structure=structure)
-            for kind in kinds:
-                for r in radii:
-                    for mu_out in mus:
-                        cspec = _build(ContaminationSpec, "contamination.", kind=kind,
-                                       r=r, mu_out=mu_out, out_sd=out_sd)
-                        for activation in activations:
-                            for depth in depths:
-                                opt = (_parse_optimizer(opt_doc, exp.DEPTH_STEPMAX[depth])
-                                       if opt_doc is not None else None)
-                                for standardize in standardizes:
-                                    for loss in loss_specs:
-                                        cfgs.append(_build(
-                                            ExperimentConfig, "",
-                                            data=dspec,
-                                            contamination=cspec,
-                                            activation=activation,
-                                            loss=loss,
-                                            standardize=standardize,
-                                            depth=depth,
-                                            replications=replications,
-                                            base_seed=base_seed,
-                                            optimizer=opt,
-                                            diverge_norm=diverge_norm,
-                                        ))
+    cfgs = [_build(ExperimentConfig, "", data=data, contamination=cont, activation=activation,
+                   depth=depth, optimizer=optimizer, standardize=standardize, loss=loss, **fixed)
+            for data, cont, activation, (depth, optimizer), standardize, loss
+            in product(datas, conts, activations, zip(depths, optimizers), standardizes, losses)]
     # the specs built above do the range checks; with an empty list none is built
     if not cfgs:
         raise ConfigError("configuration expands to no runs: a list-valued key is empty")
@@ -262,37 +225,30 @@ def parse_config(path) -> list[ExperimentConfig]:
     return cfgs
 
 
+def _section_doc(spec) -> dict:
+    """A spec's fields as a configuration section: a spec-valued field as
+    its own section, an enum member as its string, None left out."""
+    doc = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if is_dataclass(value):
+            value = _section_doc(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        if value is not None:
+            doc[f.name] = value
+    return doc
+
+
 def emit_config(cfgs: list[ExperimentConfig]) -> list[dict]:
     """Serialize configurations as a list of single-valued documents; parsing
     the emitted list yields an equal configuration list."""
-    loss_token = exp.loss_token
     docs = []
     for cfg in cfgs:
-        opt = cfg.optimizer
-        doc = {
-            "data": {"p": cfg.data.p, "n_train": cfg.data.n_train,
-                     "n_test": cfg.data.n_test, "snr": cfg.data.snr,
-                     "mu": cfg.data.mu},
-            "structure": cfg.data.structure.value,
-            "contamination": {"kind": cfg.contamination.kind.value,
-                              "r": cfg.contamination.r,
-                              "mu_out": cfg.contamination.mu_out,
-                              "out_sd": cfg.contamination.out_sd},
-            "activation": cfg.activation.value,
-            "depth": cfg.depth.value,
-            "standardize": cfg.standardize,
-            "losses": [loss_token(cfg.loss)],
-            "replications": cfg.replications,
-            "base_seed": cfg.base_seed,
-            "diverge_norm": cfg.diverge_norm,
-        }
-        if opt is not None:
-            doc["optimizer"] = {
-                "rule": opt.rule.value, "eta": opt.eta, "delta0": opt.delta0,
-                "eta_plus": opt.eta_plus, "eta_minus": opt.eta_minus,
-                "delta_min": opt.delta_min, "delta_max": opt.delta_max,
-                "stepmax": opt.stepmax, "grad_threshold": opt.grad_threshold,
-            }
+        doc = _section_doc(cfg)
+        doc["structure"] = doc["data"].pop("structure")
+        del doc["loss"]
+        doc["losses"] = [exp.loss_token(cfg.loss)]
         docs.append(doc)
     return docs
 
@@ -317,40 +273,31 @@ def fmt_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _cell_row(c: Cell) -> list[str]:
-    return [
-        c.config_id, c.structure, str(c.n), str(c.p), c.activation, c.depth,
-        fmt_bool(c.standardized), c.cont_kind, fmt_float(c.r), fmt_float(c.mu_out), c.loss,
-    ]
+# a column's format by the annotation of the field or property it shows
+_FORMATS = {"str": str, "int": str, "bool": fmt_bool, "float": fmt_float,
+            "float | None": fmt_float}
 
 
-def record_row(rec: RunRecord) -> list[str]:
-    return _cell_row(rec) + [
-        str(rec.rep), str(rec.seed), fmt_bool(rec.converged), rec.status, str(rec.epochs),
-        fmt_float(rec.test_loss), fmt_bool(rec.test_loss_finite),
-        fmt_float(rec.sup_weight_norm), fmt_bool(rec.breakdown),
-    ]
+def _write_csv(rows: list, cls, header: list[str], path) -> None:
+    """One line per row: the header's attributes, each formatted by the
+    type that cls declares for it, column by column."""
+    types = {f.name: f.type for f in fields(cls)}
+    columns = [map(_FORMATS[types[name] if name in types
+                            else getattr(cls, name).fget.__annotations__["return"]],
+                   map(attrgetter(name), rows))
+               for name in header]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def write_results_csv(records: list[RunRecord], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            writer.writerow(record_row(rec))
+    _write_csv(records, RunRecord, RESULTS_HEADER, path)
 
 
 def write_summary_csv(cells: list[CellSummary], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for c in cells:
-            writer.writerow(_cell_row(c) + [
-                str(c.replications), str(c.n_converged), str(c.n_inf_losses),
-                fmt_float(c.mean_finite_test_loss),
-                fmt_float(c.mean_epochs_converged),
-                fmt_float(c.breakdown_rate_surrogate),
-            ])
+    _write_csv(cells, CellSummary, SUMMARY_HEADER, path)
 
 
 def read_summary_csv(path) -> list[dict]:
@@ -490,7 +437,7 @@ def cmd_datagen(p: int, n_train: int, n_test: int, structure: str, snr: float,
                 mu: float, seed: int, out_dir) -> int:
     try:
         spec = DataGenSpec(p=p, n_train=n_train, n_test=n_test, snr=snr, mu=mu,
-                           structure=Structure(structure))
+                           structure=structure)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -581,10 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dg.add_argument("--p", type=int, required=True)
     p_dg.add_argument("--n-train", type=int, required=True)
     p_dg.add_argument("--n-test", type=int, required=True)
-    p_dg.add_argument("--structure", default="lin",
+    data_defaults = {f.name: f.default for f in fields(DataGenSpec)}
+    p_dg.add_argument("--structure", default=data_defaults["structure"].value,
                       choices=[s.value for s in Structure])
-    p_dg.add_argument("--snr", type=float, default=2.0)
-    p_dg.add_argument("--mu", type=float, default=0.0)
+    p_dg.add_argument("--snr", type=float, default=data_defaults["snr"])
+    p_dg.add_argument("--mu", type=float, default=data_defaults["mu"])
     p_dg.add_argument("--seed", type=int, default=1)
     p_dg.add_argument("--out", required=True, help="output directory")
 

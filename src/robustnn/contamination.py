@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._spec import set_members
 from .datagen import Dataset
 
 
@@ -33,6 +34,7 @@ class ContaminationSpec:
     out_sd: float = 1.0
 
     def __post_init__(self):
+        set_members(self, kind=ContaminationKind)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
         if not self.out_sd > 0:
@@ -106,17 +108,14 @@ def apply_contamination(data: Dataset, spec: ContaminationSpec,
         return contaminate_y(data, spec, rng)
     if spec.kind == ContaminationKind.X_CASEWISE:
         return contaminate_x_casewise(data, spec, rng)
-    if spec.kind == ContaminationKind.XY_CELLWISE:
-        return contaminate_cellwise(data, spec, rng)
-    raise ValueError(f"unknown contamination kind {spec.kind!r}")
+    return contaminate_cellwise(data, spec, rng)
 
 
 ATTACK_OFFSET_FLOOR = 1e-12
 
 
-def iterative_attacker_step(predictions, current_losses, attacked_indices,
-                            eps: float) -> np.ndarray:
-    """New responses for the attacked instances after one epoch.
+def _attack_offset(current_losses, eps: float) -> float:
+    """The attacker's offset above the prediction for one epoch's losses.
 
     Each attacked response is set slightly above its current prediction so
     that its squared loss stays strictly below the (n/2+1)-th smallest loss
@@ -124,15 +123,6 @@ def iterative_attacker_step(predictions, current_losses, attacked_indices,
     tiny positive value when that order statistic is 0. The residual of an
     attacked instance is therefore always positive.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    predictions = np.asarray(predictions, dtype=np.float64)
-    attacked = np.asarray(sorted(attacked_indices), dtype=np.intp)
-    return predictions[attacked] + _attack_offset(current_losses, eps)
-
-
-def _attack_offset(current_losses, eps: float) -> float:
-    """The attacker's offset above the prediction for one epoch's losses."""
     current_losses = np.asarray(current_losses, dtype=np.float64)
     k = current_losses.shape[0] // 2
     # (n/2+1)-th order statistic, 1-based: index n//2 in sorted order
@@ -155,7 +145,6 @@ def make_iterative_attack_hook(n: int, rng: np.random.Generator, eps: float):
         raise ValueError("eps must be positive")
     attacked = choose_attacked_indices(n, rng)
 
-    # iterative_attacker_step without sorting the indices, which are sorted
     def hook(epoch, predictions, per_instance_losses, y):
         new_y = y.copy()
         predictions = np.asarray(predictions, dtype=np.float64)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._spec import set_members
+
 POLY_SINGULARITY_FLOOR = 1e-12
 
 
@@ -29,6 +31,7 @@ class DataGenSpec:
     structure: Structure = Structure.LIN
 
     def __post_init__(self):
+        set_members(self, structure=Structure)
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
         if self.n_train < 1:

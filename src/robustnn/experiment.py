@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._spec import set_members
 from .contamination import (
     ContaminationKind,
     ContaminationSpec,
@@ -113,6 +114,7 @@ class ExperimentConfig:
     diverge_norm: float = DEFAULT_DIVERGE_NORM
 
     def __post_init__(self):
+        set_members(self, activation=Activation, depth=Depth)
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
         if not self.diverge_norm > 0:

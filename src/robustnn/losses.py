@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._spec import set_members
+
 TUKEY_K_DEFAULT = 4.685  # 95% efficiency tuning constant
 HUBER_DELTA_FLOOR = 1e-8
 
@@ -38,6 +40,7 @@ class LossSpec:
     trim_alpha: float | None = None
 
     def __post_init__(self):
+        set_members(self, kind=LossKind)
         if self.kind == LossKind.HUBER:
             if self.huber_delta is not None and not self.huber_delta > 0:
                 raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
@@ -150,13 +153,6 @@ _KERNELS = {
 }
 
 
-def _kernels(spec: LossSpec):
-    try:
-        return _KERNELS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown loss kind {spec.kind!r}") from None
-
-
 def _constant(spec: LossSpec, delta: float | None):
     if spec.kind == LossKind.HUBER:
         return _resolve_delta(spec, delta)
@@ -184,7 +180,7 @@ def loss_value(spec: LossSpec, r, delta: float | None = None):
     Tukey: 1 - (1 - (r/k)^2)^3 below k, constant 1 above. The trimmed squared
     loss is r^2 per instance; the trimming lives in the aggregation step.
     """
-    return _apply(_kernels(spec)[0], spec, r, delta)
+    return _apply(_KERNELS[spec.kind][0], spec, r, delta)
 
 
 def loss_gradient(spec: LossSpec, r, delta: float | None = None):
@@ -193,7 +189,7 @@ def loss_gradient(spec: LossSpec, r, delta: float | None = None):
     The Huber gradient is clipped at +-delta; the Tukey gradient redescends
     to exactly 0 for |r| >= k.
     """
-    return _apply(_kernels(spec)[1], spec, r, delta)
+    return _apply(_KERNELS[spec.kind][1], spec, r, delta)
 
 
 def trim_count(n: int, alpha: float) -> int:

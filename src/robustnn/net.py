@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._spec import set_members
+
 
 class Activation(str, Enum):
     LOGISTIC = "logistic"
@@ -73,12 +75,6 @@ _SCALE_BY_DERIV = {
 }
 
 
-def _kind(kind) -> Activation:
-    if kind not in _ACTIVATE:
-        raise ValueError(f"unknown activation {kind!r}")
-    return kind
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Layer layout of a regression network: p inputs, H hidden layers, one output."""
@@ -89,6 +85,7 @@ class Architecture:
     output_activation: Activation = Activation.IDENTITY
 
     def __post_init__(self):
+        set_members(self, hidden_activation=Activation, output_activation=Activation)
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -195,7 +192,7 @@ def _forward_steps(net: Network, pre, acts) -> list[tuple]:
     kernel, activation), the arrays the forward pass reads and writes. The
     intercepts get a row axis, so they broadcast over the rows of each run."""
     arch = net.architecture
-    kernels = [_ACTIVATE[_kind(arch.activation_of(h))] for h in range(1, arch.n_layers + 1)]
+    kernels = [_ACTIVATE[arch.activation_of(h)] for h in range(1, arch.n_layers + 1)]
     return list(zip(acts, [w.swapaxes(-1, -2) for w in net.weights],
                     [b[..., None, :] for b in net.intercepts], pre, kernels, acts[1:]))
 
@@ -216,7 +213,7 @@ def _backward_steps(net: Network, pre, acts, deltas, scratch) -> list[tuple]:
     steps = []
     for h in range(arch.n_layers - 1, -1, -1):
         above = (deltas[h + 1], net.weights[h + 1]) if h + 1 < arch.n_layers else (None, None)
-        scale = _SCALE_BY_DERIV[_kind(arch.activation_of(h + 1))]
+        scale = _SCALE_BY_DERIV[arch.activation_of(h + 1)]
         steps.append((*above, deltas[h], scale, pre[h], acts[h + 1], scratch[h]))
     return steps
 

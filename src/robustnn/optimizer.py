@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import losses as L
+from ._spec import set_members
 from .net import BatchKernel, Network, count_parameters
 
 DEFAULT_DIVERGE_NORM = 1e8
@@ -47,6 +48,7 @@ class OptimizerSpec:
     grad_threshold: float = 0.01
 
     def __post_init__(self):
+        set_members(self, rule=Rule)
         # each check is written so that NaN fails it; the messages start
         # with the field name, which the CLI prefixes with its config key
         if not 0.0 < self.eta_minus < 1.0:
@@ -211,7 +213,7 @@ class _LossGroup:
     def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
         n, end = batch.n, start + count
         self.spec, self.start, self.count = spec, start, count
-        self.value, self.gradient = L._kernels(spec)
+        self.value, self.gradient = L._KERNELS[spec.kind]
         self.adaptive = spec.adaptive_huber
         self.constant = None if self.adaptive else L._constant(spec, None)
         self.kth = L._median_kth(n)

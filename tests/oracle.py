@@ -9,6 +9,8 @@ own update rule to copies of the parameters, so tests can compare the
 fused route against an instance-by-instance one. intercept_sum is the
 summation order of an intercept gradient, spelled out. rprop_plus_reference
 is Rprop+ one parameter at a time, for tests of that update rule itself.
+iterative_attacker_step is one epoch of the adaptive attacker as a plain
+function of the epoch's predictions and losses, for tests of its hook.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustnn import losses as L
+from robustnn.contamination import _attack_offset
 from robustnn.net import Network, batch_deltas, forward_batch
 from robustnn.optimizer import OptimizerSpec, Rule, _in_place_update
 
@@ -171,3 +174,15 @@ def rprop_plus_reference(spec: OptimizerSpec, params, g, steps, signs) -> None:
         params[i] = (p + move) + revert
         steps[i] = step
         signs[i] = s
+
+
+def iterative_attacker_step(predictions, current_losses, attacked_indices,
+                            eps: float) -> np.ndarray:
+    """New responses for the attacked instances after one epoch: each is
+    its prediction plus the attacker's offset (contamination._attack_offset),
+    in the order of the sorted indices."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    predictions = np.asarray(predictions, dtype=np.float64)
+    attacked = np.asarray(sorted(attacked_indices), dtype=np.intp)
+    return predictions[attacked] + _attack_offset(current_losses, eps)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,11 @@ import pytest
 from robustnn import cli
 from robustnn.barchart import BarEntry, render_bar_chart
 from robustnn import experiment as exp
-from robustnn.experiment import RunRecord, run_single, run_sweep
+from robustnn.contamination import ContaminationKind, ContaminationSpec
+from robustnn.datagen import DataGenSpec
+from robustnn.experiment import ExperimentConfig, RunRecord, run_single, run_sweep
+from robustnn.losses import LossSpec
+from robustnn.net import Activation
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -55,6 +60,11 @@ class TestParseConfig:
         ("data.n_test", {"data": {"p": 3, "n_train": 30, "n_test": 0}}),
         ("optimizer.eta", {"optimizer": {"eta": 0.0}}),
         ("'losses' entry 'trim100'", {"losses": ["trim100"]}),
+        ("optimizer.rule must be one of", {"optimizer": {"rule": "sign_gd"}}),
+        ("contamination.kind must be one of", {"contamination": {"kind": ["none", "bogus"]}}),
+        ("structure must be one of", {"structure": ["lin", "cubic"]}),
+        ("activation must be one of", {"activation": "relu"}),
+        ("depth must be one of", {"depth": "medium"}),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, overrides):
         doc = base_doc(**overrides)
@@ -92,11 +102,27 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="data.rows"):
             cli.parse_config(write_config(tmp_path, doc))
 
-    def test_missing_key_is_named(self, tmp_path):
+    @pytest.mark.parametrize("key,section", [("losses", None), ("structure", None),
+                                             ("data", None), ("n_train", "data"),
+                                             ("kind", "contamination")])
+    def test_missing_key_is_named(self, tmp_path, key, section):
         doc = base_doc()
-        del doc["losses"]
-        with pytest.raises(cli.ConfigError, match="losses"):
+        del (doc if section is None else doc[section])[key]
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(cli.ConfigError, match=f"missing required key '{name}'"):
             cli.parse_config(write_config(tmp_path, doc))
+
+    def test_left_out_keys_take_the_defaults_of_the_specs(self):
+        # no snr, mu, r, mu_out, out_sd, diverge_norm or optimizer
+        doc = base_doc(contamination={"kind": ["none", "y-iterative"]},
+                       depth=["shallow", "deep"])
+        del doc["optimizer"]
+        data = DataGenSpec(p=3, n_train=30, n_test=12)
+        assert cli.expand_config(doc) == [
+            ExperimentConfig(data, ContaminationSpec(kind), Activation.LOGISTIC,
+                             LossSpec.squared(), True, depth, 2, 7)
+            for kind in (ContaminationKind.NONE, ContaminationKind.Y_ITERATIVE)
+            for depth in (exp.Depth.SHALLOW, exp.Depth.DEEP)]
 
     def test_bad_loss_token(self, tmp_path):
         doc = base_doc(losses=["absolute"])
@@ -124,13 +150,30 @@ class TestParseConfig:
         assert len(cfgs) == 15552
         assert len({cfg.config_id for cfg in cfgs}) == 15552
 
-    def test_emit_parse_round_trip(self, tmp_path):
-        doc = base_doc(losses=["squared", "trim25"],
-                       contamination={"kind": ["none", "xy-cellwise"],
-                                      "r": 0.25, "mu_out": [10, 1000]})
+    @pytest.mark.parametrize("doc,every_optional_key_set", [
+        (base_doc(losses=["squared", "trim25"],
+                  contamination={"kind": ["none", "xy-cellwise"], "r": 0.25,
+                                 "mu_out": [10, 1000]}), False),
+        (base_doc(data={"p": 3, "n_train": 30, "n_test": 12, "snr": 3.5, "mu": -0.5},
+                 contamination={"kind": "y-iterative", "r": 0.5, "mu_out": 2.5,
+                                "out_sd": 0.5},
+                 depth=["shallow", "deep"], diverge_norm=1e6,
+                 optimizer={"rule": "sign-gd", "eta": 0.05, "delta0": 0.02,
+                            "eta_plus": 1.3, "eta_minus": 0.4, "delta_min": 1e-5,
+                            "delta_max": 40.0, "stepmax": 1234, "grad_threshold": 0.02}),
+         True),
+    ])
+    def test_emit_parse_round_trip(self, tmp_path, doc, every_optional_key_set):
         cfgs = cli.parse_config(write_config(tmp_path, doc))
         emitted = write_config(tmp_path, cli.emit_config(cfgs), "emitted.json")
         assert cli.parse_config(emitted) == cfgs
+        if every_optional_key_set:
+            # each to a value other than its default; structure is not optional
+            cfg = cfgs[0]
+            for spec in (cfg.data, cfg.contamination, cfg.optimizer, cfg):
+                for f in dataclasses.fields(spec):
+                    if f.default is not dataclasses.MISSING and f.name != "structure":
+                        assert getattr(spec, f.name) != f.default, f.name
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import aggregate_gradients, backprop, dloss_dprediction, step
+from oracle import (aggregate_gradients, backprop, dloss_dprediction, iterative_attacker_step,
+                    step)
 from robustnn import losses as L
 from robustnn.contamination import (
     ContaminationKind,
@@ -15,7 +16,6 @@ from robustnn.contamination import (
     contaminate_x_casewise,
     contaminate_y,
     contamination_count,
-    iterative_attacker_step,
     make_iterative_attack_hook,
 )
 from robustnn.datagen import DataGenSpec, Dataset, Structure, generate_dataset
@@ -161,10 +161,11 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             ContaminationSpec(ContaminationKind.Y_CONVEX, **field)
 
-    @pytest.mark.parametrize("mu_out", [0.0, -0.0, -2.0, math.nan])
-    def test_the_attacker_bound_must_be_positive(self, mu_out):
+    @pytest.mark.parametrize("kind", [ContaminationKind.Y_ITERATIVE, "y-iterative"])
+    @pytest.mark.parametrize("mu_out", [0.0, -0.0, -2.0, -1.0, math.nan])
+    def test_the_attacker_bound_must_be_positive(self, kind, mu_out):
         with pytest.raises(ValueError, match="^mu_out must be positive"):
-            ContaminationSpec(ContaminationKind.Y_ITERATIVE, r=0.5, mu_out=mu_out)
+            ContaminationSpec(kind, r=0.5, mu_out=mu_out)
         # elsewhere mu_out is the outliers' mean, which may be zero or negative
         if not math.isnan(mu_out):
             ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.5, mu_out=mu_out)

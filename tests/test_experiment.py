@@ -7,9 +7,9 @@ import pytest
 from robustnn import experiment as E
 from robustnn.contamination import ContaminationKind, ContaminationSpec
 from robustnn.datagen import DataGenSpec, Structure
-from robustnn.losses import LossSpec
-from robustnn.net import Activation
-from robustnn.optimizer import OptimizerSpec
+from robustnn.losses import LossKind, LossSpec
+from robustnn.net import Activation, Architecture
+from robustnn.optimizer import OptimizerSpec, Rule
 
 
 def small_config(loss=None, kind=ContaminationKind.NONE, r=0.0, mu_out=10.0,
@@ -26,6 +26,39 @@ def small_config(loss=None, kind=ContaminationKind.NONE, r=0.0, mu_out=10.0,
         base_seed=base_seed,
         optimizer=OptimizerSpec(stepmax=stepmax),
     )
+
+
+CONFIG_ARGS = dict(data=DataGenSpec(p=3, n_train=10, n_test=5),
+                   contamination=ContaminationSpec(ContaminationKind.NONE),
+                   loss=LossSpec.squared(), standardize=True, replications=1, base_seed=1)
+
+
+class TestSpecEnumFields:
+    # (spec, its other arguments, enum field, a value string, its member, a typo)
+    CASES = [
+        (OptimizerSpec, {}, "rule", "sign-gd", Rule.SIGN_GD, "sign_gd"),
+        (LossSpec, {}, "kind", "tukey", LossKind.TUKEY, "absolute"),
+        (Architecture, {"input_dim": 2, "hidden_sizes": (3,)}, "hidden_activation",
+         "softplus", Activation.SOFTPLUS, "relu"),
+        (Architecture, {"input_dim": 2, "hidden_sizes": (3,)}, "output_activation",
+         "logistic", Activation.LOGISTIC, "relu"),
+        (DataGenSpec, {"p": 3, "n_train": 10, "n_test": 5}, "structure", "trig",
+         Structure.TRIG, "cubic"),
+        (ContaminationSpec, {}, "kind", "y-convex", ContaminationKind.Y_CONVEX, "bogus"),
+        (E.ExperimentConfig, {**CONFIG_ARGS, "depth": E.Depth.DEEP}, "activation", "softplus",
+         Activation.SOFTPLUS, "relu"),
+        (E.ExperimentConfig, {**CONFIG_ARGS, "activation": Activation.LOGISTIC}, "depth",
+         "deep", E.Depth.DEEP, "medium"),
+    ]
+
+    @pytest.mark.parametrize("spec,args,field,name,member,typo", CASES)
+    def test_a_member_or_its_string_is_taken_and_nothing_else(self, spec, args, field, name,
+                                                             member, typo):
+        assert getattr(spec(**args, **{field: name}), field) is member
+        assert getattr(spec(**args, **{field: member}), field) is member
+        for value in (typo, name.upper(), 3, None):
+            with pytest.raises(ValueError, match=f"^{field} must be one of {{"):
+                spec(**args, **{field: value})
 
 
 class TestConfigIds:
