@@ -242,13 +242,17 @@ def _section_doc(spec) -> dict:
 
 def emit_config(cfgs: list[ExperimentConfig]) -> list[dict]:
     """Serialize configurations as a list of single-valued documents; parsing
-    the emitted list yields an equal configuration list."""
+    the emitted list yields an equal configuration list. A loss that no
+    'losses' token spells, such as a fixed Huber threshold, is a ValueError."""
     docs = []
     for cfg in cfgs:
+        token = exp.loss_token(cfg.loss)
+        if _build(parse_loss, f"config {cfg.config_id}: ", token) != cfg.loss:
+            raise ValueError(f"config {cfg.config_id}: '{token}' does not spell loss {cfg.loss}")
         doc = _section_doc(cfg)
         doc["structure"] = doc["data"].pop("structure")
         del doc["loss"]
-        doc["losses"] = [exp.loss_token(cfg.loss)]
+        doc["losses"] = [token]
         docs.append(doc)
     return docs
 
@@ -436,6 +440,8 @@ def cmd_report(summary_path, out_dir) -> int:
 def cmd_datagen(p: int, n_train: int, n_test: int, structure: str, snr: float,
                 mu: float, seed: int, out_dir) -> int:
     try:
+        if seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {seed}")
         spec = DataGenSpec(p=p, n_train=n_train, n_test=n_test, snr=snr, mu=mu,
                            structure=structure)
     except ValueError as exc:

@@ -474,7 +474,7 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
         # imported here, so that importing robustnn does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(queues))) as pool:
             records = [rec for recs in pool.map(_run_queue, queues) for rec in recs]
     records.sort(key=lambda rec: (rec.config_id, rec.rep))
     return records

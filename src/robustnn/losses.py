@@ -216,46 +216,27 @@ class TrimResult:
     aggregate: float
 
 
-def _trim(keys: np.ndarray, h: int) -> tuple[np.ndarray, float]:
-    """Indices of the h smallest keys in increasing order, and their mean.
-
-    A partition finds the h-th smallest key; every key up to it is kept and,
-    where ties at it exceed h, those with the largest indices are dropped.
-    NaN ranks above +inf. This is exactly the set that
-    np.sort(np.argsort(keys, kind="stable")[:h]) gives.
-    """
-    part = keys.copy()
-    part.partition(h - 1)
-    threshold = part[h - 1]
-    if threshold == threshold:
-        keep = keys <= threshold
-        surplus = np.count_nonzero(keep) - h
-        if surplus:
-            keep[np.flatnonzero(keys == threshold)[-surplus:]] = False
-    else:
-        # NaN threshold: every number is kept, then the first NaNs
-        nan = np.isnan(keys)
-        keep = ~nan
-        keep[np.flatnonzero(nan)[: h - np.count_nonzero(keep)]] = True
-    kept = keep.nonzero()[0]
-    return kept, float(np.add.reduce(keys[kept]) / h)
-
-
 def _trim_rows(keys: np.ndarray, h: int) -> np.ndarray:
-    """_trim's kept indices for every row of a C-contiguous 2-D array, as a
-    (rows, h) array of positions in keys.ravel(): row j's index i is j*n + i.
-    One partition finds every row's h-th smallest key; if some row's
-    threshold is NaN, or some row ties at it, _trim selects row by row."""
+    """Indices of the h smallest keys of each row of a C-contiguous 2-D
+    array, as a (rows, h) array of positions in keys.ravel(): row j's index
+    i is j*n + i. Ties go to the smaller index and NaN ranks above +inf, so
+    each row keeps exactly np.sort(np.argsort(row, kind="stable")[:h]).
+    One partition finds every row's h-th smallest key; a row whose keys up
+    to it are not h (ties at it, or a NaN threshold, which keeps none)
+    takes that stable argsort instead."""
     part = keys.copy()
     part.partition(h - 1, axis=-1)
     threshold = part[:, h - 1:h]
-    flat = (keys <= threshold).ravel().nonzero()[0]
+    keep = keys <= threshold
+    flat = keep.ravel().nonzero()[0]
     # with no NaN threshold every row keeps at least h keys, so h per row
     # is exactly the total count; a NaN threshold makes the sum NaN
     if flat.shape[0] == keys.shape[0] * h and not math.isnan(sum(threshold[:, 0].tolist())):
         return flat.reshape(-1, h)
-    n = keys.shape[1]
-    return np.stack([_trim(row, h)[0] + j * n for j, row in enumerate(keys)])
+    rows = np.flatnonzero(np.count_nonzero(keep, axis=1) != h)
+    keep[rows] = False
+    keep[rows[:, None], np.argsort(keys[rows], axis=1, kind="stable")[:, :h]] = True
+    return keep.ravel().nonzero()[0].reshape(-1, h)
 
 
 def trimmed_select(keys, alpha: float) -> TrimResult:
@@ -266,5 +247,5 @@ def trimmed_select(keys, alpha: float) -> TrimResult:
     """
     keys = np.asarray(keys, dtype=np.float64)
     h = trim_count(keys.shape[0], alpha)
-    kept, aggregate = _trim(keys, h)
-    return TrimResult(kept_indices=kept, h=h, aggregate=aggregate)
+    kept = _trim_rows(keys[None], h)[0]
+    return TrimResult(kept_indices=kept, h=h, aggregate=float(np.add.reduce(keys[kept]) / h))

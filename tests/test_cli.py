@@ -175,6 +175,18 @@ class TestParseConfig:
                     if f.default is not dataclasses.MISSING and f.name != "structure":
                         assert getattr(spec, f.name) != f.default, f.name
 
+    @pytest.mark.parametrize("loss", [LossSpec.huber(1.0), LossSpec.tukey(3.0),
+                                      LossSpec.trimmed(1 / 3), LossSpec.trimmed(0.001)])
+    def test_emit_refuses_a_loss_no_token_spells(self, tmp_path, loss):
+        # the first three would parse back as another loss (adaptive Huber,
+        # tukey_k 4.685, trim_alpha 0.33) under the same config_id; the
+        # last one's token, trim0, parses to no loss
+        cfg = dataclasses.replace(cli.parse_config(write_config(tmp_path, base_doc()))[0],
+                                  loss=loss)
+        with pytest.raises(ValueError, match=re.escape(f"config {cfg.config_id}: ")) as info:
+            cli.emit_config([cfg])
+        assert f"'{exp.loss_token(loss)}'" in str(info.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(tmp_path / "nope.json")
@@ -441,6 +453,14 @@ class TestCmdDatagenAndProbe:
         assert train[0] == "x1,x2,x3,y"
         assert len(train) == 21
         assert len((tmp_path / "dg" / "test.csv").read_text().splitlines()) == 9
+
+    def test_datagen_rejects_a_negative_seed_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        code = cli.main(["datagen", "--p", "3", "--n-train", "10", "--n-test", "5",
+                         "--seed", "-1", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_probe_prints_trajectory(self, tmp_path, capsys):
         doc = base_doc(standardize=False,

@@ -91,8 +91,13 @@ def float_rows(max_rows, max_cols):
 @example(keys=np.array([[np.nan, 1.0, 0.0, 2.0], [1.0, 1.0, 0.0, 0.0]]), alpha=0.25)
 # a NaN threshold in one row and surplus ties in the other add up to h per row
 @example(keys=np.array([[np.nan, np.nan, np.nan, 1.0], [1.0, 1.0, 1.0, 1.0]]), alpha=0.5)
+# a row the partition settles, one tied across its h-th key and one whose
+# h-th key is NaN: only the last two are selected again
+@example(keys=np.array([[4.0, 1.0, 3.0, 2.0], [2.0, 2.0, 1.0, 2.0],
+                        [np.nan, 1.0, np.nan, np.nan]]), alpha=0.5)
 def test_row_wise_trim_selects_what_trimmed_select_selects(keys, alpha):
-    # the slot trainer selects the kept rows of several runs at once
+    # the slot trainer selects the kept rows of several runs at once; each
+    # row keeps what the stable argsort keeps
     h = L.trim_count(keys.shape[1], alpha)
     n = keys.shape[1]
     with np.errstate(all="ignore"):
@@ -100,6 +105,8 @@ def test_row_wise_trim_selects_what_trimmed_select_selects(keys, alpha):
         for j, row in enumerate(keys):
             want = L.trimmed_select(row, alpha).kept_indices
             np.testing.assert_array_equal(got[j], want + j * n)
+            oracle = np.sort(np.argsort(row, kind="stable")[:h])
+            np.testing.assert_array_equal(got[j], oracle + j * n)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ as train gives them alone. run_sweep, which trains its queues through
 train_slots, must give run_single's records."""
 
 import collections
+import concurrent.futures
 import dataclasses
 import sys
 
@@ -353,6 +354,35 @@ def test_sweep_equals_run_single(parallelism):
     got = E.run_sweep(cfgs, parallelism=parallelism)
     assert [fields(rec) for rec in got] == [fields(rec) for rec in want]
     assert sum(rec.status == E.STATUS_ERROR for rec in got) == 3
+
+
+def test_a_sweep_starts_no_more_workers_than_it_has_queues(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records the number of workers
+        it is asked for and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfgs = [dataclasses.replace(sweep_configs()[0], replications=2)]
+    tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    assert len(E._queues(tasks, 4)) == 2
+    got = E.run_sweep(cfgs, parallelism=4)
+    assert asked == [2]
+    assert [fields(rec) for rec in got] == \
+        [fields(rec) for rec in E.run_sweep(cfgs, parallelism=1)]
 
 
 def shared_queue():
