@@ -27,7 +27,6 @@ from .contamination import ContaminationSpec
 from .datagen import DataGenSpec, Structure, dataset_to_csv, generate_dataset
 from . import experiment as exp
 from .experiment import (
-    LOSS_LABELS,
     LOSS_ORDER,
     Cell,
     CellSummary,
@@ -141,20 +140,10 @@ def _specs(cls, prefix: str, section: dict[str, list]) -> list:
 def parse_loss(token: str) -> LossSpec:
     if not isinstance(token, str):
         raise ConfigError(f"'losses' entries must be strings, got {token!r}")
-    t = token.lower()
-    if t == "squared":
-        return LossSpec.squared()
-    if t == "huber":
-        return LossSpec.huber()
-    if t == "tukey":
-        return LossSpec.tukey()
-    if t.startswith("trim"):
-        try:
-            pct = int(t[4:])
-        except ValueError:
-            raise ConfigError(f"unknown loss '{token}' in 'losses'") from None
-        return _build(LossSpec.trimmed, f"'losses' entry '{token}': ", alpha=pct / 100.0)
-    raise ConfigError(f"unknown loss '{token}' in 'losses'")
+    loss = _build(LossSpec.from_token, f"'losses' entry '{token}': ", token)
+    if loss is None:
+        raise ConfigError(f"unknown loss '{token}' in 'losses'")
+    return loss
 
 
 def expand_config(doc: dict) -> list[ExperimentConfig]:
@@ -246,7 +235,7 @@ def emit_config(cfgs: list[ExperimentConfig]) -> list[dict]:
     'losses' token spells, such as a fixed Huber threshold, is a ValueError."""
     docs = []
     for cfg in cfgs:
-        token = exp.loss_token(cfg.loss)
+        token = cfg.loss.token
         if _build(parse_loss, f"config {cfg.config_id}: ", token) != cfg.loss:
             raise ValueError(f"config {cfg.config_id}: '{token}' does not spell loss {cfg.loss}")
         doc = _section_doc(cfg)
@@ -415,7 +404,7 @@ def cmd_report(summary_path, out_dir) -> int:
                 mean = row["mean_finite_test_loss"]
                 value = None if mean in ("", "Inf", "NaN") else float(mean)
                 entries.append(BarEntry(
-                    label=LOSS_LABELS.get(token, token),
+                    label=token.capitalize(),
                     value=value,
                     count=int(row["n_converged"]),
                     inf_flag=int(row["n_inf_losses"]) > 0,

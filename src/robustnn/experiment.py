@@ -25,7 +25,7 @@ from .datagen import (
     fit_standardizer,
     generate_dataset,
 )
-from .losses import LossKind, LossSpec
+from .losses import LossSpec
 from .net import Activation, Architecture, Network, Predictor, init_weights
 from .optimizer import (
     DEFAULT_DIVERGE_NORM,
@@ -35,7 +35,6 @@ from .optimizer import (
     TrainJob,
     TrainOutcome,
     TrainStatus,
-    train,
     train_slots,
 )
 
@@ -54,26 +53,6 @@ STATUS_ERROR = "error"
 class HeldOutSetModifiedError(RuntimeError):
     """The test set changed while a run trained on its training set."""
 
-
-def loss_token(spec: LossSpec) -> str:
-    """Short loss name used in ids, CSV files and chart labels."""
-    if spec.kind == LossKind.SQUARED:
-        return "squared"
-    if spec.kind == LossKind.HUBER:
-        return "huber"
-    if spec.kind == LossKind.TUKEY:
-        return "tukey"
-    return f"trim{round(spec.trim_alpha * 100):g}"
-
-
-LOSS_LABELS = {
-    "squared": "Squared",
-    "huber": "Huber",
-    "tukey": "Tukey",
-    "trim10": "Trim10",
-    "trim25": "Trim25",
-    "trim50": "Trim50",
-}
 
 LOSS_ORDER = ("squared", "huber", "tukey", "trim10", "trim25", "trim50")
 
@@ -133,7 +112,7 @@ class ExperimentConfig:
 
     @cached_property
     def config_id(self) -> str:
-        return f"{self.scenario_id}_{loss_token(self.loss)}"
+        return f"{self.scenario_id}_{self.loss.token}"
 
     @cached_property
     def scenario_key(self) -> tuple:
@@ -158,7 +137,7 @@ class ExperimentConfig:
             cont_kind=c.kind.value,
             r=c.r,
             mu_out=c.mu_out,
-            loss=loss_token(self.loss),
+            loss=self.loss.token,
         )
 
     def architecture(self) -> Architecture:
@@ -251,6 +230,12 @@ class PreparedRun:
     scenario: PreparedScenario
     net: Network            # initial network
 
+    def job(self, *, record_norms: bool = False, tag=None) -> TrainJob:
+        """The run's training job: its initial network, training set, loss,
+        divergence level and attacker."""
+        return TrainJob(self.net, self.scenario.train, self.cfg.loss, self.cfg.diverge_norm,
+                        record_norms, epoch_end_hook=self.scenario.hook, tag=tag)
+
 
 def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
     """Build the data, contamination, standardizer and attacker of one
@@ -310,12 +295,13 @@ def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
 
 
 def train_run(prep: PreparedRun, *, record_norms: bool = False) -> TrainOutcome:
-    """Train a prepared replication with its configured loss, optimizer,
-    divergence level and attacker."""
-    cfg = prep.cfg
-    return train(prep.net, prep.scenario.train, cfg.loss, cfg.resolved_optimizer(),
-                 cfg.diverge_norm, record_norms=record_norms,
-                 epoch_end_hook=prep.scenario.hook)
+    """Train a prepared replication's job alone, as train does, with its
+    configured optimizer; raises what train raises."""
+    (_, outcome), = train_slots([prep.job(record_norms=record_norms)],
+                                prep.cfg.resolved_optimizer(), slots=1)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
@@ -411,8 +397,7 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
             except Exception as exc:
                 fail(i, exc)
                 continue
-            yield TrainJob(prep.net, prep.scenario.train, cfg.loss, cfg.diverge_norm,
-                           epoch_end_hook=prep.scenario.hook, tag=(i, prep))
+            yield prep.job(tag=(i, prep))
 
     try:
         predictor = Predictor(tasks[0][0].architecture())

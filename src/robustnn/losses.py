@@ -71,6 +71,31 @@ class LossSpec:
         return cls(LossKind.TRIMMED_SQUARED, trim_alpha=alpha)
 
     @property
+    def token(self) -> str:
+        """The loss's name in ids, CSV files, chart labels and a
+        configuration's 'losses': the kind's value, or trim<percent> for
+        the trimmed squared loss."""
+        if self.is_trimmed:
+            return f"trim{round(self.trim_alpha * 100):g}"
+        return self.kind.value
+
+    @classmethod
+    def from_token(cls, token: str) -> "LossSpec | None":
+        """The loss a token spells in any case, the inverse of token: a
+        kind's value but trimmed-squared, with its default parameters, or
+        trimNN, trimming NN percent; None for a token that spells no loss.
+        A trimNN rate outside (0, 1) is a ValueError."""
+        t = token.lower()
+        try:
+            if not t.startswith("trim"):
+                return cls(LossKind(t))
+            # trimmed-squared, whose rate no token gives, fails here
+            pct = int(t[4:])
+        except ValueError:
+            return None
+        return cls.trimmed(pct / 100.0)
+
+    @property
     def is_trimmed(self) -> bool:
         return self.kind == LossKind.TRIMMED_SQUARED
 

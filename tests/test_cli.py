@@ -129,6 +129,15 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="absolute"):
             cli.parse_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("token,message", [
+        ("trimmed-squared", "unknown loss 'trimmed-squared' in 'losses'"),
+        ("trim0", "'losses' entry 'trim0': trim_alpha must lie in (0, 1)"),
+        ("TRIM100", "'losses' entry 'TRIM100': trim_alpha must lie in (0, 1)"),
+    ])
+    def test_a_loss_token_is_refused_with_its_message(self, tmp_path, token, message):
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+            cli.parse_config(write_config(tmp_path, base_doc(losses=["squared", token])))
+
     def test_full_study_grid_size(self, tmp_path):
         doc = {
             "data": [{"p": 5, "n_train": 150, "n_test": 50},
@@ -185,7 +194,7 @@ class TestParseConfig:
                                   loss=loss)
         with pytest.raises(ValueError, match=re.escape(f"config {cfg.config_id}: ")) as info:
             cli.emit_config([cfg])
-        assert f"'{exp.loss_token(loss)}'" in str(info.value)
+        assert f"'{loss.token}'" in str(info.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
@@ -426,6 +435,22 @@ class TestCmdReport:
         labels = [t.text for t in root.findall(f"{ns}text")]
         assert "Inf" in labels
         assert "Huber" in labels and "Squared" in labels
+
+    def test_each_bar_is_labelled_with_its_capitalised_token(self, tmp_path):
+        header = ",".join(cli.SUMMARY_HEADER)
+        tokens = ["squared", "huber", "tukey", "trim10", "trim25", "trim50", "trim33", "trim5"]
+        rows = [f"s_lin_{t},lin,30,3,logistic,shallow,true,none,0.0,10.0,{t},4,3,0,0.5,10.0,0.25"
+                for t in tokens]
+        summary = tmp_path / "summary.csv"
+        summary.write_text(header + "\n" + "\n".join(rows) + "\n")
+        charts = tmp_path / "charts"
+        assert cli.cmd_report(summary, charts) == 0
+        (svg_path,) = sorted(charts.glob("*.svg"))
+        labels = [t.text for t in ET.parse(svg_path).iter("{http://www.w3.org/2000/svg}text")]
+        # in the report's order: the standard losses first, then by token
+        bars = [label for label in labels if label in {t.capitalize() for t in tokens}]
+        assert bars == ["Squared", "Huber", "Tukey", "Trim10", "Trim25", "Trim50",
+                        "Trim33", "Trim5"]
 
     def test_chart_text_is_escaped_as_xml_text(self):
         # &, < and > become entities, quotes stay, as xml.sax.saxutils.escape

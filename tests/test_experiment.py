@@ -67,11 +67,11 @@ class TestConfigIds:
         assert cfg.config_id == cfg.scenario_id + "_trim25"
 
     def test_loss_tokens(self):
-        assert E.loss_token(LossSpec.squared()) == "squared"
-        assert E.loss_token(LossSpec.huber()) == "huber"
-        assert E.loss_token(LossSpec.tukey()) == "tukey"
-        assert E.loss_token(LossSpec.trimmed(0.1)) == "trim10"
-        assert E.loss_token(LossSpec.trimmed(0.5)) == "trim50"
+        assert LossSpec.squared().token == "squared"
+        assert LossSpec.huber().token == "huber"
+        assert LossSpec.tukey().token == "tukey"
+        assert LossSpec.trimmed(0.1).token == "trim10"
+        assert LossSpec.trimmed(0.5).token == "trim50"
 
     @pytest.mark.parametrize("field", [dict(diverge_norm=math.nan),
                                        dict(diverge_norm=0.0), dict(replications=0)])

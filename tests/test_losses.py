@@ -32,6 +32,29 @@ class TestLossSpecValidation:
             L.LossSpec.tukey(math.nan)
 
 
+class TestLossTokens:
+    @pytest.mark.parametrize("spec", [L.LossSpec.squared(), L.LossSpec.huber(),
+                                      L.LossSpec.tukey()]
+                             + [L.LossSpec.trimmed(pct / 100) for pct in range(1, 100)],
+                             ids=lambda spec: spec.token)
+    def test_a_token_spells_back_its_loss(self, spec):
+        assert L.LossSpec.from_token(spec.token) == spec
+        assert L.LossSpec.from_token(spec.token.upper()) == spec
+
+    def test_trimmed_tokens_name_the_percentage(self):
+        assert [L.LossSpec.trimmed(pct / 100).token for pct in range(1, 100)] == [
+            f"trim{pct}" for pct in range(1, 100)]
+
+    @pytest.mark.parametrize("token", ["trimmed-squared", "trim", "trimx", "absolute", ""])
+    def test_a_token_that_spells_no_loss_gives_none(self, token):
+        assert L.LossSpec.from_token(token) is None
+
+    @pytest.mark.parametrize("token", ["trim0", "trim100", "trim-5"])
+    def test_a_trimming_rate_outside_the_unit_interval_is_refused(self, token):
+        with pytest.raises(ValueError, match=r"^trim_alpha must lie in \(0, 1\)$"):
+            L.LossSpec.from_token(token)
+
+
 class TestLossValues:
     def test_huber_outside_branch(self):
         assert L.loss_value(L.LossSpec.huber(1.0), 2.0) == 1.5

@@ -1,12 +1,15 @@
 """The README's library examples run as written: every ```python block,
 in order, in one namespace, as a reader would paste them. Its example
-configuration expands to the number of configurations it states."""
+configuration expands to the number of configurations it states, and its
+list of optimizer keys is the fields of OptimizerSpec."""
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from robustnn import cli
+from robustnn.optimizer import OptimizerSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +28,10 @@ def test_readme_grid_size_is_what_the_grid_expands_to():
     (block,) = re.findall(r"^```json\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
     (stated,) = re.findall(r"The grid above expands to ([\d,]+) configurations", text)
     assert len(cli.expand_config(json.loads(block))) == int(stated.replace(",", ""))
+
+
+def test_readme_lists_every_optimizer_key():
+    (bullet,) = re.findall(r"^- `optimizer` \(optional\)(.*?)^(?:- |\n)", README.read_text(),
+                           re.MULTILINE | re.DOTALL)
+    # the rule's values are spelled with hyphens, which no key has
+    assert re.findall(r"`(\w+)`", bullet) == [f.name for f in fields(OptimizerSpec)]
