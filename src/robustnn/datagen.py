@@ -4,6 +4,7 @@ min-max response standardization and CSV round-tripping."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,6 +39,8 @@ class DataGenSpec:
             raise ValueError(f"n_train must be positive, got {self.n_train}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be positive, got {self.n_test}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if not self.snr > 0:
             raise ValueError(f"snr must be positive, got {self.snr}")
 

@@ -26,7 +26,7 @@ from .datagen import (
     generate_dataset,
 )
 from .losses import LossSpec
-from .net import Activation, Architecture, Network, Predictor, init_weights
+from .net import Activation, Architecture, BatchKernel, Network, init_weights
 from .optimizer import (
     DEFAULT_DIVERGE_NORM,
     STEPMAX_DEEP,
@@ -327,18 +327,29 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _record(prep: PreparedRun, outcome: TrainOutcome, predictor: Predictor) -> RunRecord:
-    """The record of a trained run, with its test loss if it converged,
-    predicted through the given predictor of the run's architecture.
+def _record(prep: PreparedRun, outcome: TrainOutcome, kernels: dict) -> RunRecord:
+    """The record of a trained run, with its test loss if it converged.
 
+    The test predictions go through a one-slot BatchKernel over a
+    (1, n_test, p) input, kept in kernels by the test inputs' shape: the
+    run's final parameters and test inputs are copied into its buffers and
+    slot 0 is predicted. kernels holds the kernels of one architecture.
     The test set bypasses contamination entirely, which is checked via a
     byte hash; raises HeldOutSetModifiedError if it changed.
     """
     scenario = prep.scenario
     test_loss = None
     if outcome.status == TrainStatus.CONVERGED:
+        X, net = scenario.test.X, outcome.final_net
+        kernel = kernels.get(X.shape)
+        if kernel is None:
+            kernel = kernels[X.shape] = BatchKernel(
+                Network(net.architecture, np.empty((1, *net.params.shape))),
+                np.empty((1, *X.shape)))
+        kernel.net.params[0] = net.params
+        kernel.X[0] = X
         with np.errstate(over="ignore", invalid="ignore"):
-            preds = predictor(outcome.final_net, scenario.test.X)
+            preds = kernel.forward()[0]
             test_loss = float(np.mean((preds - scenario.y_test) ** 2))
 
     if _fingerprint(scenario.test) != scenario.test_fingerprint:
@@ -365,7 +376,7 @@ def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
     """
     try:
         prep = prepare_run(cfg, rep)
-        return _record(prep, train_run(prep), Predictor(cfg.architecture()))
+        return _record(prep, train_run(prep), {})
     except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
         return _error_record(cfg, rep, str(exc))
 
@@ -400,13 +411,13 @@ def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
             yield prep.job(tag=(i, prep))
 
     try:
-        predictor = Predictor(tasks[0][0].architecture())
+        kernels: dict[tuple, BatchKernel] = {}  # _record's, by test-input shape
         for job, outcome in train_slots(jobs(), tasks[0][0].resolved_optimizer()):
             i, prep = job.tag
             try:
                 if isinstance(outcome, Exception):
                     raise outcome
-                records[i] = _record(prep, outcome, predictor)
+                records[i] = _record(prep, outcome, kernels)
             except Exception as exc:
                 fail(i, exc)
     except Exception as exc:  # record, never abort the sweep

@@ -83,8 +83,9 @@ class LossSpec:
     def from_token(cls, token: str) -> "LossSpec | None":
         """The loss a token spells in any case, the inverse of token: a
         kind's value but trimmed-squared, with its default parameters, or
-        trimNN, trimming NN percent; None for a token that spells no loss.
-        A trimNN rate outside (0, 1) is a ValueError."""
+        trimNN, trimming NN percent, with NN as str(int) writes it; None for
+        a token that spells no loss. A trimNN rate outside (0, 1) is a
+        ValueError."""
         t = token.lower()
         try:
             if not t.startswith("trim"):
@@ -93,7 +94,8 @@ class LossSpec:
             pct = int(t[4:])
         except ValueError:
             return None
-        return cls.trimmed(pct / 100.0)
+        # int() also reads " 5", "+5", "05", "5_0" and non-ASCII digits
+        return cls.trimmed(pct / 100.0) if str(pct) == t[4:] else None
 
     @property
     def is_trimmed(self) -> bool:

@@ -267,9 +267,12 @@ class BatchKernel:
     run's inputs into a slot between passes. Every pass runs on the first
     `live` slots only (a gradient sum on as many as its output arrays hold),
     with one stacked np.matmul per layer, whose slices are the matrix
-    products of one run. train_slots runs every epoch through one kernel;
-    forward_batch, batch_deltas and mean_gradient_vector run the same
-    passes once on arrays of their own.
+    products of one run. train_slots runs every epoch through one kernel,
+    and a converged run's test predictions go through a one-slot kernel
+    over a (1, n_test, p) input: in production no other object builds
+    forward arrays. forward_batch, batch_deltas and mean_gradient_vector,
+    which only tests and perfbench call, run the same passes once on
+    arrays of their own.
 
     predictions and output_error are (live, n) views of the output layer's
     activation and delta: write dL/dyhat into output_error before
@@ -363,37 +366,6 @@ def forward_batch(net: Network, X) -> BatchTrace:
 def predict(net: Network, X) -> np.ndarray:
     """Predictions for every row of X."""
     return forward_batch(net, X).predictions
-
-
-class Predictor:
-    """predict for many networks of one architecture, through a network of
-    its own and, per shape of X, forward arrays allocated once: each call
-    copies the parameters and X into them and runs the forward pass. The
-    predictions equal predict's bit for bit; they are a buffer that the
-    next call for an X of that shape overwrites. Unlike predict, a call
-    leaves the overflow warning of the logistic's exp(-a) to the caller."""
-
-    def __init__(self, arch: Architecture):
-        self.arch = arch
-        self._net = Network(arch, np.empty(count_parameters(arch)[2]))
-        self._passes: dict[tuple, tuple] = {}  # X's shape -> (X buffer, steps, predictions)
-
-    def __call__(self, net: Network, X) -> np.ndarray:
-        if net.architecture != self.arch:
-            raise ValueError("network architecture differs from the predictor's")
-        X = np.asarray(X, dtype=np.float64)
-        found = self._passes.get(X.shape)
-        if found is None:
-            if X.ndim != 2 or X.shape[1] != self.arch.input_dim:
-                raise ValueError(f"expected {self.arch.input_dim} input columns, got {X.shape}")
-            pre, acts = _forward_arrays(self.arch, np.empty(X.shape))
-            found = self._passes[X.shape] = (acts[0], _forward_steps(self._net, pre, acts),
-                                             acts[-1][:, 0])
-        x, steps, predictions = found
-        np.copyto(self._net.params, net.params)
-        np.copyto(x, X)
-        _run_forward(steps)
-        return predictions
 
 
 def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarray]:

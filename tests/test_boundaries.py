@@ -1,0 +1,38 @@
+"""The standalone route stays out of production: of the package's modules,
+only net.py and losses.py, which define it, name its functions. The
+trainer and the test predictions run on BatchKernel and the slot loss
+groups; tests and perfbench call the standalone route."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "robustnn"
+STANDALONE = {"forward_batch", "predict", "BatchTrace", "batch_deltas", "mean_gradient_vector",
+              "loss_value", "loss_gradient", "trimmed_select", "TrimResult",
+              "adaptive_huber_delta"}
+PRODUCTION = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("net.py", "losses.py"))
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.rpartition(".")[2], node.asname))
+    return names
+
+
+def test_the_production_modules_are_found():
+    assert {"cli.py", "experiment.py", "optimizer.py"} <= set(PRODUCTION)
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_a_production_module_names_no_standalone_function(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert referenced_names(tree) & STANDALONE == set()

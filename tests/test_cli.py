@@ -133,6 +133,9 @@ class TestParseConfig:
         ("trimmed-squared", "unknown loss 'trimmed-squared' in 'losses'"),
         ("trim0", "'losses' entry 'trim0': trim_alpha must lie in (0, 1)"),
         ("TRIM100", "'losses' entry 'TRIM100': trim_alpha must lie in (0, 1)"),
+        ("trim-5", "'losses' entry 'trim-5': trim_alpha must lie in (0, 1)"),
+        *((token, f"unknown loss '{token}' in 'losses'")
+          for token in ("trim 5", "trim+5", "trim05", "Trim50 ", "trim\u0665", "trim5_0")),
     ])
     def test_a_loss_token_is_refused_with_its_message(self, tmp_path, token, message):
         with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
@@ -485,6 +488,15 @@ class TestCmdDatagenAndProbe:
                          "--seed", "-1", "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_datagen_rejects_a_non_finite_mu_before_writing(self, tmp_path, capsys, mu):
+        out = tmp_path / "D"
+        code = cli.main(["datagen", "--p", "3", "--n-train", "10", "--n-test", "5",
+                         f"--mu={mu}", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: mu must be finite, got {mu}\n"
         assert not out.exists()
 
     def test_probe_prints_trajectory(self, tmp_path, capsys):

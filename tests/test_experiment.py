@@ -170,15 +170,21 @@ class TestRunSingle:
 
     def test_modified_test_set_is_recorded_as_error(self, monkeypatch):
         # the check is an explicit raise, so it also holds under python -O
-        class TamperingPredictor:
-            def __init__(self, arch):
-                pass
+        prepare_run, prepared = E.prepare_run, []
 
-            def __call__(self, net, X):
-                X[0, 0] += 1.0
-                return np.zeros(X.shape[0])
+        def recording_prepare_run(cfg, rep):
+            prepared.append(prepare_run(cfg, rep))
+            return prepared[-1]
 
-        monkeypatch.setattr(E, "Predictor", TamperingPredictor)
+        class TamperingKernel(E.BatchKernel):
+            """Writes into the run's test set while predicting it."""
+
+            def forward(self):
+                prepared[-1].scenario.test.X[0, 0] += 1.0
+                return super().forward()
+
+        monkeypatch.setattr(E, "prepare_run", recording_prepare_run)
+        monkeypatch.setattr(E, "BatchKernel", TamperingKernel)
         rec = E.run_single(small_config(stepmax=100_000), 0)
         assert rec.status == E.STATUS_ERROR
         assert not rec.converged and rec.test_loss is None

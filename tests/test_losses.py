@@ -45,7 +45,9 @@ class TestLossTokens:
         assert [L.LossSpec.trimmed(pct / 100).token for pct in range(1, 100)] == [
             f"trim{pct}" for pct in range(1, 100)]
 
-    @pytest.mark.parametrize("token", ["trimmed-squared", "trim", "trimx", "absolute", ""])
+    @pytest.mark.parametrize("token", ["trimmed-squared", "trim", "trimx", "absolute", "",
+                                       "trim 5", "trim+5", "trim05", "Trim50 ",
+                                       "trim\u0665", "trim5_0", "trim-0"])
     def test_a_token_that_spells_no_loss_gives_none(self, token):
         assert L.LossSpec.from_token(token) is None
 

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import backprop, canonical_bytes, dloss_dprediction, flatten, intercept_sum
+from robustnn import experiment as E
 from robustnn import losses as L
+from robustnn.contamination import ContaminationSpec
+from robustnn.datagen import Dataset, DataGenSpec
 from robustnn.net import (
     _ACTIVATE,
     _SCALE_BY_DERIV,
@@ -14,13 +17,12 @@ from robustnn.net import (
     Architecture,
     BatchKernel,
     Network,
-    Predictor,
     count_parameters,
     forward_batch,
     init_weights,
     predict,
 )
-from robustnn.optimizer import OptimizerSpec, train
+from robustnn.optimizer import OptimizerSpec, TrainOutcome, TrainStatus, train
 
 
 def make_arch(p, hidden, hidden_act=Activation.LOGISTIC, out_act=Activation.IDENTITY):
@@ -483,21 +485,34 @@ class TestInterceptSum:
                 assert canonical_bytes(got_gathered) == canonical_bytes(want_gathered), layer
 
 
-class TestPredictor:
+class TestTestPredictions:
+    """A converged run's test predictions, which experiment._record takes
+    from a one-slot BatchKernel kept per shape of the test inputs."""
+
+    @staticmethod
+    def record(net, X, y, kernels):
+        """_record of a converged run of net with test set (X, y), and the
+        predictions it took."""
+        test = Dataset(X, y)
+        cfg = E.ExperimentConfig(
+            DataGenSpec(p=X.shape[1], n_train=2, n_test=len(X)), ContaminationSpec("none"),
+            net.architecture.hidden_activation, L.LossSpec.squared(), False, E.Depth.SHALLOW, 1, 0)
+        scenario = E.PreparedScenario(test, test, y, E._fingerprint(test), None, None)
+        outcome = TrainOutcome(TrainStatus.CONVERGED, 1, net, 0.0, False)
+        rec = E._record(E.PreparedRun(cfg, 0, 0, scenario, net), outcome, kernels)
+        return rec, kernels[X.shape].predictions[0]
+
     @pytest.mark.parametrize("arch", KERNEL_ARCHS + [make_arch(5, (10, 10))])
-    def test_predictions_equal_predict_bit_for_bit(self, arch):
+    def test_they_equal_predict_bit_for_bit(self, arch):
         rng = np.random.default_rng(len(arch.hidden_sizes))
-        predictor = Predictor(arch)
+        kernels = {}
         for rows in (50, 7, 50, 1):
             net = init_weights(arch, rng)
             X = rng.standard_normal((rows, arch.input_dim)) * 30.0
-            with np.errstate(over="ignore"):
-                got = predictor(net, X).copy()
-            assert got.tobytes() == predict(net, X).tobytes()
-        assert len(predictor._passes) == 3
-
-    def test_a_network_of_another_architecture_is_rejected(self):
-        predictor = Predictor(make_arch(3, (4,)))
-        net = init_weights(make_arch(3, (4,), Activation.SOFTPLUS), np.random.default_rng(1))
-        with pytest.raises(ValueError, match="architecture"):
-            predictor(net, np.zeros((2, 3)))
+            y = rng.standard_normal(rows)
+            rec, got = self.record(net, X, y, kernels)
+            want = predict(net, X)
+            assert got.tobytes() == want.tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert rec.test_loss == float(np.mean((want - y) ** 2))
+        assert len(kernels) == 3

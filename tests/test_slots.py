@@ -356,6 +356,37 @@ def test_sweep_equals_run_single(parallelism):
     assert sum(rec.status == E.STATUS_ERROR for rec in got) == 3
 
 
+def test_a_queue_predicts_test_sets_of_two_shapes(monkeypatch):
+    # one queue of one shape whose runs' test sets have 20 or 33 rows, all
+    # in the slots at once, so that their predictions interleave
+    data = DataGenSpec(p=3, n_train=40, n_test=20, structure=Structure.LIN)
+    cfgs = [E.ExperimentConfig(data=dataclasses.replace(data, n_test=n_test),
+                               contamination=contamination, activation=Activation.LOGISTIC,
+                               loss=loss, standardize=True, depth=E.Depth.SHALLOW,
+                               replications=2, base_seed=3, optimizer=OptimizerSpec(stepmax=300))
+            for n_test, contamination in (
+                (20, ContaminationSpec(ContaminationKind.NONE)),
+                (33, ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.25, mu_out=10.0)))
+            for loss in STUDY_LOSSES[:3]]
+    tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    assert len(E._queues(tasks, 1)) == 1
+    want = sorted((reference_record(cfg, rep) for cfg, rep in tasks),
+                  key=lambda rec: (rec.config_id, rec.rep))
+    made = []
+
+    class CountingKernel(E.BatchKernel):
+        def __init__(self, net, X):
+            made.append(X.shape)
+            super().__init__(net, X)
+
+    monkeypatch.setattr(E, "BatchKernel", CountingKernel)
+    got = E.run_sweep(cfgs, 1)
+    assert [fields(rec) for rec in got] == [fields(rec) for rec in want]
+    n_test = {cfg.config_id: cfg.data.n_test for cfg in cfgs}
+    assert {n_test[rec.config_id] for rec in got if rec.test_loss_finite} == {20, 33}
+    assert sorted(made) == [(1, 20, 3), (1, 33, 3)]
+
+
 def test_a_sweep_starts_no_more_workers_than_it_has_queues(monkeypatch):
     asked = []
 
