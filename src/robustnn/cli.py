@@ -193,12 +193,13 @@ def parse_config(path) -> list[ExperimentConfig]:
     """Read a JSON configuration file: either one document or a list of
     documents whose expansions are concatenated. Two configurations with
     one config_id are rejected: their runs would share seeds, rows and a
-    summary cell."""
+    summary cell. A file that cannot be opened or decoded as text is a
+    ConfigError naming it."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"configuration file not found: {path}")
     try:
         doc = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     docs = doc if isinstance(doc, list) else [doc]
@@ -296,9 +297,13 @@ def write_summary_csv(cells: list[CellSummary], path) -> None:
 def read_summary_csv(path) -> list[dict]:
     """The rows of a summary.csv as run writes it. Raises ConfigError naming
     the file and the column for another header, a row of another length, a
-    count that is not an integer or a mean that is not a number."""
-    with Path(path).open(newline="") as fh:
-        header, *lines = list(csv.reader(fh)) or [[]]
+    count that is not an integer or a mean that is not a number, and for a
+    file it cannot open or decode as text."""
+    try:
+        with Path(path).open(newline="") as fh:
+            header, *lines = list(csv.reader(fh)) or [[]]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if header != SUMMARY_HEADER:
         i, found, wanted = next((i, a, b) for i, (a, b) in
                                 enumerate(zip_longest(header, SUMMARY_HEADER)) if a != b)
@@ -368,10 +373,6 @@ def _scenario_key(row: dict) -> tuple:
 
 
 def cmd_report(summary_path, out_dir) -> int:
-    summary_path = Path(summary_path)
-    if not summary_path.exists():
-        print(f"error: summary file not found: {summary_path}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         rows = read_summary_csv(summary_path)
     except ConfigError as exc:

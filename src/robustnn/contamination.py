@@ -1,9 +1,10 @@
-"""Training-set contamination generators.
+"""Training-set contamination.
 
-All generators return fresh copies and touch training data only; replaced
-values are drawn from Normal(mu_out, out_sd^2) per the replacement-outlier
-convention. The adaptive attacker rewrites its responses between epochs
-using the model's own predictions.
+apply_contamination is the one generator: it returns a fresh copy and
+touches training data only; replaced values are drawn from
+Normal(mu_out, out_sd^2) per the replacement-outlier convention. The
+adaptive attacker rewrites its responses between epochs using the model's
+own predictions.
 """
 
 from __future__ import annotations
@@ -54,61 +55,38 @@ def contamination_count(r: float, n: int) -> int:
     return int(math.ceil(x))
 
 
-def contaminate_y(data: Dataset, spec: ContaminationSpec, rng: np.random.Generator) -> Dataset:
-    """Replace ceil(r*n) randomly chosen responses by Normal(mu_out, sd^2) draws."""
-    if spec.kind != ContaminationKind.Y_CONVEX:
-        raise ValueError(f"contaminate_y got kind {spec.kind!r}")
-    out = data.copy()
-    m = contamination_count(spec.r, out.n)
-    if m > 0:
-        rows = rng.choice(out.n, size=m, replace=False)
-        out.Y[rows] = rng.normal(spec.mu_out, spec.out_sd, size=m)
-    return out
-
-
-def contaminate_x_casewise(data: Dataset, spec: ContaminationSpec,
-                           rng: np.random.Generator) -> Dataset:
-    """Replace ceil(r*n) full predictor rows by Normal_p(mu_out*1, I) draws."""
-    if spec.kind != ContaminationKind.X_CASEWISE:
-        raise ValueError(f"contaminate_x_casewise got kind {spec.kind!r}")
-    out = data.copy()
-    m = contamination_count(spec.r, out.n)
-    if m > 0:
-        rows = rng.choice(out.n, size=m, replace=False)
-        out.X[rows] = rng.normal(spec.mu_out, spec.out_sd, size=(m, out.p))
-    return out
-
-
-def contaminate_cellwise(data: Dataset, spec: ContaminationSpec,
-                         rng: np.random.Generator) -> Dataset:
-    """Replace ceil(r*n*(p+1)) distinct cells of the augmented (X|Y) matrix."""
-    if spec.kind != ContaminationKind.XY_CELLWISE:
-        raise ValueError(f"contaminate_cellwise got kind {spec.kind!r}")
-    out = data.copy()
-    n, p = out.n, out.p
-    m = contamination_count(spec.r, n * (p + 1))
-    if m > 0:
-        cells = rng.choice(n * (p + 1), size=m, replace=False)
-        values = rng.normal(spec.mu_out, spec.out_sd, size=m)
-        rows = cells // (p + 1)
-        cols = cells % (p + 1)
-        in_x = cols < p
-        out.X[rows[in_x], cols[in_x]] = values[in_x]
-        out.Y[rows[~in_x]] = values[~in_x]
-    return out
-
-
 def apply_contamination(data: Dataset, spec: ContaminationSpec,
                         rng: np.random.Generator) -> Dataset:
-    """Dispatch on the contamination kind; none and the iterative attacker
-    (which acts during training, not up front) return an untouched copy."""
-    if spec.kind in (ContaminationKind.NONE, ContaminationKind.Y_ITERATIVE):
-        return data.copy()
-    if spec.kind == ContaminationKind.Y_CONVEX:
-        return contaminate_y(data, spec, rng)
-    if spec.kind == ContaminationKind.X_CASEWISE:
-        return contaminate_x_casewise(data, spec, rng)
-    return contaminate_cellwise(data, spec, rng)
+    """A copy of the training set with m = ceil(r * N) of its N units
+    replaced by Normal(mu_out, out_sd^2) draws: the n responses (y-convex),
+    the n predictor rows (x-casewise, each replaced whole) or the n * (p + 1)
+    cells of (X|Y) (xy-cellwise). If m > 0 that takes one
+    rng.choice(N, m, replace=False), then one rng.normal of m values, or of
+    (m, p) for x-casewise, and no other draw. none ignores r, mu_out and
+    out_sd; y-iterative, the adaptive attacker that acts during training,
+    ignores r and out_sd and always attacks n // 2 rows. Both return an
+    untouched copy and draw nothing.
+    """
+    out = data.copy()
+    kind, n, p = spec.kind, out.n, out.p
+    if kind in (ContaminationKind.NONE, ContaminationKind.Y_ITERATIVE):
+        return out
+    units = n * (p + 1) if kind == ContaminationKind.XY_CELLWISE else n
+    m = contamination_count(spec.r, units)
+    if m > 0:
+        picked = rng.choice(units, size=m, replace=False)
+        values = rng.normal(spec.mu_out, spec.out_sd,
+                            size=(m, p) if kind == ContaminationKind.X_CASEWISE else m)
+        if kind == ContaminationKind.Y_CONVEX:
+            out.Y[picked] = values
+        elif kind == ContaminationKind.X_CASEWISE:
+            out.X[picked] = values
+        else:
+            rows, cols = np.divmod(picked, p + 1)
+            in_x = cols < p
+            out.X[rows[in_x], cols[in_x]] = values[in_x]
+            out.Y[rows[~in_x]] = values[~in_x]
+    return out
 
 
 ATTACK_OFFSET_FLOOR = 1e-12
@@ -133,17 +111,13 @@ def _attack_offset(current_losses, eps: float) -> float:
     return offset
 
 
-def choose_attacked_indices(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Pick the attacker's n/2 target rows once, before training."""
-    return np.sort(rng.choice(n, size=n // 2, replace=False))
-
-
 def make_iterative_attack_hook(n: int, rng: np.random.Generator, eps: float):
     """Build an epoch-end hook for optimizer.train implementing the adaptive
-    attacker; returns (attacked_indices, hook)."""
+    attacker; returns (attacked_indices, hook). Its n // 2 target rows are
+    picked once, before training, by one rng.choice and sorted."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    attacked = choose_attacked_indices(n, rng)
+    attacked = np.sort(rng.choice(n, size=n // 2, replace=False))
 
     def hook(epoch, predictions, per_instance_losses, y):
         new_y = y.copy()

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The empirical criteria
 the whole module finishes in a few minutes on two cores.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -19,9 +20,7 @@ from robustnn.cli import cmd_run
 from robustnn.contamination import (
     ContaminationKind,
     ContaminationSpec,
-    contaminate_cellwise,
-    contaminate_x_casewise,
-    contaminate_y,
+    apply_contamination,
 )
 from robustnn.datagen import DataGenSpec, Structure, generate_dataset
 from robustnn.experiment import (
@@ -29,8 +28,11 @@ from robustnn.experiment import (
     ExperimentConfig,
     RunRecord,
     derive_seed,
+    prepare_run,
+    prepare_scenario,
     run_sweep,
     summarize,
+    train_run,
     _data_key,
 )
 from robustnn.net import (
@@ -336,15 +338,15 @@ def test_c09_contamination_counts_and_test_set_integrity():
                 r = float(r_txt)
                 frac = Fraction(r_txt)
                 rng = np.random.default_rng(p)
-                out = contaminate_y(
+                out = apply_contamination(
                     data, ContaminationSpec(ContaminationKind.Y_CONVEX, r=r,
                                             mu_out=100.0), rng)
                 assert int((out.Y != data.Y).sum()) == math.ceil(frac * n)
-                out = contaminate_x_casewise(
+                out = apply_contamination(
                     data, ContaminationSpec(ContaminationKind.X_CASEWISE, r=r,
                                             mu_out=100.0), rng)
                 assert int(np.any(out.X != data.X, axis=1).sum()) == math.ceil(frac * n)
-                out = contaminate_cellwise(
+                out = apply_contamination(
                     data, ContaminationSpec(ContaminationKind.XY_CELLWISE, r=r,
                                             mu_out=100.0), rng)
                 changed = (np.column_stack([out.X, out.Y])
@@ -353,14 +355,15 @@ def test_c09_contamination_counts_and_test_set_integrity():
         # the quoted 90-cell case
         spec = DataGenSpec(p=5, n_train=150, n_test=50)
         data, _ = generate_dataset(spec, np.random.default_rng(9))
-        out = contaminate_cellwise(
+        out = apply_contamination(
             data, ContaminationSpec(ContaminationKind.XY_CELLWISE, r=0.1,
                                     mu_out=100.0), np.random.default_rng(10))
         assert int((np.column_stack([out.X, out.Y])
                     != np.column_stack([data.X, data.Y])).sum()) == 90
 
-        # a contaminated sweep never alters the test stream: regenerating
-        # from the run's seed gives identical test data before and after
+        # contamination never reaches the test set: after training, each
+        # prepared run's test set equals an independent regeneration from
+        # the data stream and the test set of the clean configuration
         cfg = ExperimentConfig(
             data=DataGenSpec(p=3, n_train=30, n_test=12, structure=Structure.LIN),
             contamination=ContaminationSpec(ContaminationKind.XY_CELLWISE,
@@ -370,13 +373,18 @@ def test_c09_contamination_counts_and_test_set_integrity():
             base_seed=17, optimizer=OptimizerSpec(stepmax=500))
         records = run_sweep([cfg])
         assert all(rec.status != "error" for rec in records)
+        clean = dataclasses.replace(cfg, contamination=ContaminationSpec(ContaminationKind.NONE))
         for rep in range(3):
+            prep = prepare_run(cfg, rep)
+            train_run(prep)
             rng = np.random.default_rng(derive_seed("data", 17, _data_key(cfg.data), rep))
-            first = generate_dataset(cfg.data, rng)[1]
-            rng = np.random.default_rng(derive_seed("data", 17, _data_key(cfg.data), rep))
-            second = generate_dataset(cfg.data, rng)[1]
-            np.testing.assert_array_equal(first.X, second.X)
-            np.testing.assert_array_equal(first.Y, second.Y)
+            regenerated = generate_dataset(cfg.data, rng)[1]
+            clean_scenario = prepare_scenario(clean, rep)
+            # the training set was contaminated, so the check is not vacuous
+            assert not np.array_equal(prep.scenario.train.X, clean_scenario.train.X)
+            for other in (regenerated, clean_scenario.test):
+                np.testing.assert_array_equal(prep.scenario.test.X, other.X)
+                np.testing.assert_array_equal(prep.scenario.test.Y, other.Y)
 
 
 def test_c10_cmd_run_is_byte_deterministic(tmp_path):

@@ -1,7 +1,13 @@
-"""The standalone route stays out of production: of the package's modules,
+"""Two boundaries inside the package.
+
+The standalone route stays out of production: of the package's modules,
 only net.py and losses.py, which define it, name its functions. The
 trainer and the test predictions run on BatchKernel and the slot loss
-groups; tests and perfbench call the standalone route."""
+groups; tests and perfbench call the standalone route.
+
+The contamination kinds that replace data up front are named only in
+contamination.py, whose apply_contamination draws them all, so a change
+to how they are drawn is an edit in one place."""
 
 import ast
 from pathlib import Path
@@ -13,6 +19,9 @@ STANDALONE = {"forward_batch", "predict", "BatchTrace", "batch_deltas", "mean_gr
               "loss_value", "loss_gradient", "trimmed_select", "TrimResult",
               "adaptive_huber_delta"}
 PRODUCTION = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("net.py", "losses.py"))
+# experiment.py may name Y_ITERATIVE: it builds the adaptive attacker
+UP_FRONT_KINDS = {"Y_CONVEX", "X_CASEWISE", "XY_CELLWISE"}
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -36,3 +45,14 @@ def test_the_production_modules_are_found():
 def test_a_production_module_names_no_standalone_function(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert referenced_names(tree) & STANDALONE == set()
+
+
+def test_the_kind_names_are_found_where_they_are_defined():
+    tree = ast.parse((PACKAGE / "contamination.py").read_text(), filename="contamination.py")
+    assert UP_FRONT_KINDS <= referenced_names(tree)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "contamination.py"])
+def test_only_contamination_names_the_up_front_kinds(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert referenced_names(tree) & UP_FRONT_KINDS == set()

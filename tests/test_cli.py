@@ -221,6 +221,26 @@ class TestParseConfig:
             cli.parse_config(write_config(tmp_path, [base_doc(), base_doc()], "twice.json"))
 
 
+@pytest.mark.parametrize("command, flag, unreadable", [
+    ("run", "--config", "directory"), ("run", "--config", "non-utf-8"),
+    ("probe", "--config", "directory"),
+    ("report", "--summary", "directory"), ("report", "--summary", "non-utf-8"),
+    ("run", "--config", "missing"), ("report", "--summary", "missing")])
+def test_an_unreadable_input_file_is_a_named_configuration_error(tmp_path, capsys, command,
+                                                                  flag, unreadable):
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    elif unreadable == "non-utf-8":
+        path.write_bytes(b'{"structure": "lin\xff"}\n')
+    out = tmp_path / "out"
+    argv = [command, flag, str(path)] + ([] if command == "probe" else ["--out", str(out)])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not out.exists()
+
+
 class TestFloatFormatting:
     def test_tokens(self):
         assert cli.fmt_float(None) == ""

@@ -11,10 +11,6 @@ from robustnn.contamination import (
     ContaminationKind,
     ContaminationSpec,
     apply_contamination,
-    choose_attacked_indices,
-    contaminate_cellwise,
-    contaminate_x_casewise,
-    contaminate_y,
     contamination_count,
     make_iterative_attack_hook,
 )
@@ -52,33 +48,33 @@ class TestContaminateY:
     def test_exact_replacement_count(self):
         data = make_data(1)
         spec = ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.1, mu_out=100.0)
-        out = contaminate_y(data, spec, np.random.default_rng(2))
+        out = apply_contamination(data, spec, np.random.default_rng(2))
         assert int(np.sum(out.Y != data.Y)) == 15
         np.testing.assert_array_equal(out.X, data.X)
 
     def test_zero_radius_is_identity(self):
         data = make_data(3)
         spec = ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.0, mu_out=100.0)
-        out = contaminate_y(data, spec, np.random.default_rng(4))
+        out = apply_contamination(data, spec, np.random.default_rng(4))
         np.testing.assert_array_equal(out.Y, data.Y)
 
     def test_full_radius_replaces_everything(self):
         data = make_data(5)
         spec = ContaminationSpec(ContaminationKind.Y_CONVEX, r=1.0, mu_out=100.0)
-        out = contaminate_y(data, spec, np.random.default_rng(6))
+        out = apply_contamination(data, spec, np.random.default_rng(6))
         assert np.all(out.Y != data.Y)
 
     def test_original_untouched(self):
         data = make_data(7)
         snapshot = data.Y.copy()
         spec = ContaminationSpec(ContaminationKind.Y_CONVEX, r=0.5, mu_out=10.0)
-        contaminate_y(data, spec, np.random.default_rng(8))
+        apply_contamination(data, spec, np.random.default_rng(8))
         np.testing.assert_array_equal(data.Y, snapshot)
 
     def test_replacements_center_on_mu_out(self):
         data = make_data(9, n=1000)
         spec = ContaminationSpec(ContaminationKind.Y_CONVEX, r=1.0, mu_out=1000.0)
-        out = contaminate_y(data, spec, np.random.default_rng(10))
+        out = apply_contamination(data, spec, np.random.default_rng(10))
         assert abs(out.Y.mean() - 1000.0) < 0.5
 
 
@@ -86,7 +82,7 @@ class TestContaminateXCasewise:
     def test_exact_row_count(self):
         data = make_data(11, n=500, p=20)
         spec = ContaminationSpec(ContaminationKind.X_CASEWISE, r=0.25, mu_out=10.0)
-        out = contaminate_x_casewise(data, spec, np.random.default_rng(12))
+        out = apply_contamination(data, spec, np.random.default_rng(12))
         changed_rows = np.any(out.X != data.X, axis=1)
         assert int(changed_rows.sum()) == 125
         # a replaced row is replaced wholesale
@@ -95,13 +91,13 @@ class TestContaminateXCasewise:
     def test_responses_untouched(self):
         data = make_data(13)
         spec = ContaminationSpec(ContaminationKind.X_CASEWISE, r=0.4, mu_out=1000.0)
-        out = contaminate_x_casewise(data, spec, np.random.default_rng(14))
+        out = apply_contamination(data, spec, np.random.default_rng(14))
         np.testing.assert_array_equal(out.Y, data.Y)
 
     def test_zero_radius_is_identity(self):
         data = make_data(15)
         spec = ContaminationSpec(ContaminationKind.X_CASEWISE, r=0.0, mu_out=10.0)
-        out = contaminate_x_casewise(data, spec, np.random.default_rng(16))
+        out = apply_contamination(data, spec, np.random.default_rng(16))
         np.testing.assert_array_equal(out.X, data.X)
 
 
@@ -109,7 +105,7 @@ class TestContaminateCellwise:
     def test_exact_cell_count_and_untouched_rest(self):
         data = make_data(17)  # n=150, p=5 -> 90 of the 900 cells
         spec = ContaminationSpec(ContaminationKind.XY_CELLWISE, r=0.1, mu_out=100.0)
-        out = contaminate_cellwise(data, spec, np.random.default_rng(18))
+        out = apply_contamination(data, spec, np.random.default_rng(18))
         before = np.column_stack([data.X, data.Y])
         after = np.column_stack([out.X, out.Y])
         changed = before != after
@@ -119,7 +115,7 @@ class TestContaminateCellwise:
     def test_zero_radius_is_identity(self):
         data = make_data(19)
         spec = ContaminationSpec(ContaminationKind.XY_CELLWISE, r=0.0, mu_out=100.0)
-        out = contaminate_cellwise(data, spec, np.random.default_rng(20))
+        out = apply_contamination(data, spec, np.random.default_rng(20))
         np.testing.assert_array_equal(out.X, data.X)
         np.testing.assert_array_equal(out.Y, data.Y)
 
@@ -129,7 +125,7 @@ class TestContaminateCellwise:
                 data = Dataset(np.zeros((n, p)), np.zeros(n))
                 spec = ContaminationSpec(ContaminationKind.XY_CELLWISE,
                                          r=float(r_txt), mu_out=10.0)
-                out = contaminate_cellwise(data, spec, np.random.default_rng(n + p))
+                out = apply_contamination(data, spec, np.random.default_rng(n + p))
                 changed = int((np.column_stack([out.X, out.Y]) != 0.0).sum())
                 assert changed == math.ceil(Fraction(r_txt) * n * (p + 1))
 
@@ -143,13 +139,32 @@ class TestDispatchAndDeterminism:
         np.testing.assert_array_equal(out.X, data.X)
         np.testing.assert_array_equal(out.Y, data.Y)
 
-    def test_same_seed_same_result(self):
+    # n=150, p=5, r=0.25: the units picked from, how many are picked and the
+    # shape of the normal draw; none and y-iterative draw nothing
+    DRAWS = {"none": None, "y-iterative": None, "y-convex": (150, 38, 38),
+             "x-casewise": (150, 38, (38, 5)), "xy-cellwise": (900, 225, 225)}
+
+    @pytest.mark.parametrize("kind", list(ContaminationKind), ids=lambda kind: kind.value)
+    def test_same_seed_same_result(self, kind):
         data = make_data(23)
-        spec = ContaminationSpec(ContaminationKind.XY_CELLWISE, r=0.25, mu_out=10.0)
-        a = apply_contamination(data, spec, np.random.default_rng(24))
+        spec = ContaminationSpec(kind, r=0.25, mu_out=10.0, out_sd=2.0)
+        rng = np.random.default_rng(24)
+        a = apply_contamination(data, spec, rng)
         b = apply_contamination(data, spec, np.random.default_rng(24))
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.Y, b.Y)
+        # the documented draws and no others: the golden digests and the
+        # attacker's rows, drawn next from the same stream, depend on it
+        fresh = np.random.default_rng(24)
+        values = np.empty(0)
+        if self.DRAWS[kind.value] is not None:
+            units, m, size = self.DRAWS[kind.value]
+            fresh.choice(units, size=m, replace=False)
+            values = fresh.normal(10.0, 2.0, size=size)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        before = np.column_stack([data.X, data.Y])
+        after = np.column_stack([a.X, a.Y])
+        np.testing.assert_array_equal(np.sort(after[before != after]), np.sort(values.ravel()))
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
@@ -227,7 +242,7 @@ class TestIterativeAttackerStep:
                                       [1.5, 2.5, 4.5])
 
     def test_chosen_indices_are_half_of_n(self):
-        idx = choose_attacked_indices(10, np.random.default_rng(1))
+        idx, _ = make_iterative_attack_hook(10, np.random.default_rng(1), eps=1.0)
         assert idx.size == 5
         assert np.unique(idx).size == 5
 
