@@ -402,11 +402,11 @@ def cmd_report(summary_path, out_dir) -> int:
             entries = []
             for token in ordered:
                 row = by_loss[token]
-                mean = row["mean_finite_test_loss"]
-                value = None if mean in ("", "Inf", "NaN") else float(mean)
+                # no bar for a mean that is absent or not finite
+                value = float(row["mean_finite_test_loss"] or "nan")
                 entries.append(BarEntry(
                     label=token.capitalize(),
-                    value=value,
+                    value=value if math.isfinite(value) else None,
                     count=int(row["n_converged"]),
                     inf_flag=int(row["n_inf_losses"]) > 0,
                 ))

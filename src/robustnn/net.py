@@ -265,7 +265,8 @@ class BatchKernel:
     C-contiguous (B, n, p) array. The kernel keeps references to these
     arrays, so the caller can move the parameters in place and write a new
     run's inputs into a slot between passes. Every pass runs on the first
-    `live` slots only (a gradient sum on as many as its output arrays hold),
+    `live` slots only (a gradient sum on as many as its output arrays hold,
+    from a given slot on, so each loss group of train_slots sums its own),
     with one stacked np.matmul per layer, whose slices are the matrix
     products of one run. train_slots runs every epoch through one kernel,
     and a converged run's test predictions go through a one-slot kernel
@@ -286,7 +287,7 @@ class BatchKernel:
         self._scratch = [np.empty_like(a) for a in self.pre]
         self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
         self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
-        self._sums: dict[int, list] = {}
+        self._sums: dict[tuple, list] = {}
         self._gather_buffers: dict[int, list] = {}
         self._gathered: dict[tuple, list] = {}
         self.set_live(X.shape[0])
@@ -314,20 +315,21 @@ class BatchKernel:
         _run_backward(self._backward)
         return self._deltas
 
-    def gradient_sum(self, d_weights, d_intercepts, kept=None) -> int:
-        """Per slot of the first k, the sum of per-instance gradients over
-        all rows into the given (k, ...) per-layer arrays; returns the row
-        count.
+    def gradient_sum(self, d_weights, d_intercepts, kept=None, start=0) -> int:
+        """Per slot of the k from start on, the sum of per-instance
+        gradients over all rows into the given (k, ...) per-layer arrays;
+        returns the row count.
 
         kept, a (G, h) array of rows b*n + i (row i of slot b), sums G
-        slots' kept rows instead, into (G, ...) arrays.
+        slots' kept rows instead, into (G, ...) arrays; start is then unused.
         """
         if kept is None:
-            k = d_intercepts[0].shape[0]
-            steps = self._sums.get(k)
+            key = start, d_intercepts[0].shape[0]
+            steps = self._sums.get(key)
             if steps is None:
-                steps = self._sums[k] = _sum_steps([d[:k] for d in self.deltas],
-                                                   [z[:k] for z in self.acts[:-1]])
+                end = start + key[1]
+                steps = self._sums[key] = _sum_steps([d[start:end] for d in self.deltas],
+                                                     [z[start:end] for z in self.acts[:-1]])
             return _gradient_sum(steps, d_weights, d_intercepts)
         # The kept rows are gathered into arrays allocated once, per trim
         # count h for every slot, of which G slots use the first G: a fresh

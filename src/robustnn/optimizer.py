@@ -55,6 +55,8 @@ class OptimizerSpec:
             raise ValueError(f"eta_minus must lie in (0, 1), got {self.eta_minus}")
         if not self.eta_plus > 1.0:
             raise ValueError(f"eta_plus must exceed 1, got {self.eta_plus}")
+        if not self.delta_min > 0:
+            raise ValueError(f"delta_min must be positive, got {self.delta_min}")
         if not self.delta_min <= self.delta0 <= self.delta_max:
             raise ValueError(f"delta0 must lie in [delta_min, delta_max], got {self.delta0}")
         if not self.eta > 0:
@@ -206,9 +208,9 @@ class _Slot:
 
 class _LossGroup:
     """The adjacent live slots [start, start + count) that share one loss:
-    per epoch, their per-instance losses, objectives, dL/dyhat and, for a
-    trimmed loss, their kept rows, read and written through views of the
-    stacked arrays."""
+    per epoch, their per-instance losses, objectives, dL/dyhat, for a
+    trimmed loss their kept rows, and their mean gradients, read and
+    written through views of the stacked arrays."""
 
     def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
         n, end = batch.n, start + count
@@ -222,8 +224,7 @@ class _LossGroup:
         # a row of the group's losses -> that row in the kernel's (B*n) rows
         self.row_shift = start * n
         self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
-        grad = Network(batch.arch, batch.grad[start:end])
-        self.grad_weights, self.grad_intercepts = grad.weights, grad.intercepts
+        self.grad = Network(batch.arch, batch.grad[start:end])
         self.per = self.delta = self.kept = None
 
     def losses(self) -> list[float]:
@@ -243,13 +244,18 @@ class _LossGroup:
         np.negative(self.gradient(r, c), out=self.error)
         return sums.tolist()
 
+    def mean_gradient(self, kernel: BatchKernel) -> None:
+        """Each run's mean gradient over its (kept) rows, after the backward pass."""
+        grad = self.grad
+        rows = kernel.gradient_sum(grad.weights, grad.intercepts, self.kept, self.start)
+        np.divide(grad.params, rows, out=grad.params)
+
 
 class _Slots:
     """The stacked state of up to `capacity` runs of one shape: parameters,
     Rprop+ step sizes and signs, inputs, responses and the kernel over
     them. Occupied slots are kept at the front, each loss's slots side by
-    side and the untrimmed losses first, and every stacked operation runs
-    on the [:live] prefix."""
+    side, and every stacked operation runs on the [:live] prefix."""
 
     def __init__(self, arch, n: int, spec: OptimizerSpec, capacity: int):
         n_params = count_parameters(arch)[2]
@@ -262,16 +268,13 @@ class _Slots:
         self.X = np.zeros((capacity, n, arch.input_dim))
         self.Y = np.zeros((capacity, n))
         self.r = np.empty((capacity, n))
-        self.rows = np.empty((capacity, 1))
         self.kernel = BatchKernel(Network(arch, self.params), self.X)
         self.slots: list[_Slot | None] = []
         # the loss of each slot's run, or of its last run while it is free
         self.losses: list[L.LossSpec] = []
-        # whether the slots still hold the losses arrange() last laid out
-        self.settled = False
         self.groups: list[_LossGroup] = []
         self.epoch = 0
-        self.live = self.untrimmed = None
+        self.live = None
 
     def has_room(self) -> bool:
         return len(self.slots) < self.capacity or None in self.slots
@@ -297,38 +300,32 @@ class _Slots:
         if b == len(self.slots):
             self.slots.append(slot)
             self.losses.append(job.loss)
-            self.settled = False
         else:
             self.slots[b] = slot
-            if self.losses[b] != job.loss:
-                self.losses[b] = job.loss
-                self.settled = False
+            self.losses[b] = job.loss
         self.steps[b] = self.spec.delta0
         self.signs[b] = 0.0
         self.X[b] = X
         self.Y[b] = Y
-        self.rows[b] = L.trim_count(self.n, job.loss.trim_alpha) if job.loss.is_trimmed else self.n
 
     def arrange(self) -> None:
         """Move the occupied slots to the front, each loss's slots side by
-        side and the untrimmed losses first, and lay the views, update and
-        loss groups over them. The order is a stable sort on (trimmed, first
-        slot of the loss), and each run's stacked rows move with it. When
-        every slot was refilled with a run of its last run's loss, nothing
-        moves and everything laid out before stays."""
-        if self.settled and None not in self.slots:
-            return
+        side, and lay the views, update and loss groups over them. The order
+        is a stable sort on the first slot of each loss, and each run's
+        stacked rows move with it. When every slot was refilled with a run
+        of its last run's loss, the sort is the identity: nothing moves and
+        every loss group laid out before stays."""
         occupied = [(b, slot.job.loss) for b, slot in enumerate(self.slots) if slot is not None]
         first = {loss: b for b, loss in reversed(occupied)}
-        occupied.sort(key=lambda item: (item[1].is_trimmed, first[item[1]]))
+        occupied.sort(key=lambda item: first[item[1]])
         source = [b for b, _ in occupied]
         moved = [b for b, src in enumerate(source) if b != src]
         take = [source[b] for b in moved]
-        for a in (self.params, self.steps, self.signs, self.X, self.Y, self.rows):
-            a[moved] = a[take]
+        if moved:  # most calls move nothing, which fancy indexing does not do for free
+            for a in (self.params, self.steps, self.signs, self.X, self.Y):
+                a[moved] = a[take]
         self.slots = [self.slots[src] for src in source]
         self.losses = [loss for _, loss in occupied]
-        self.settled = True
 
         live = len(self.slots)
         if live != self.live:
@@ -344,13 +341,6 @@ class _Slots:
         known = {(g.spec, g.start, g.count): g for g in self.groups}
         self.groups = [known.get((spec, start, count)) or _LossGroup(self, spec, start, count)
                        for spec, (start, count) in spans.items()]
-        self.trimmed = [g for g in self.groups if g.h is not None]
-        # the full gradient sum covers the untrimmed slots, which lead
-        untrimmed = self.trimmed[0].start if self.trimmed else live
-        if untrimmed != self.untrimmed:
-            self.untrimmed = untrimmed
-            grad = Network(self.arch, self.grad[:untrimmed])
-            self.grad_weights, self.grad_intercepts = grad.weights, grad.intercepts
 
     def prepare(self) -> None:
         """The callback lists and epoch cap of the runs in the slots, as
@@ -388,13 +378,10 @@ class _Slots:
         after that.
         """
         live, spec, slots, end = self.live, self.spec, self.slots, self._end
-        kernel, groups, trimmed = self.kernel, self.groups, self.trimmed
-        Y, r, rows = self.Y[:live], self.r[:live], self.rows[:live]
+        kernel, groups, Y, r = self.kernel, self.groups, self.Y[:live], self.r[:live]
         params, grad, abs_g = self.params[:live], self.grad[:live], self.abs_g[:live]
-        param_rows = self.param_rows
+        param_rows, cap_epoch = self.param_rows, self.cap_epoch
         update, threshold, stepmax = self.update, spec.grad_threshold, spec.stepmax
-        cap_epoch, untrimmed = self.cap_epoch, self.untrimmed
-        grad_weights, grad_intercepts = self.grad_weights, self.grad_intercepts
         recording, transformed, hooked = self.recording, self.transformed, self.hooked
         ended: dict = {}
         epoch = self.epoch
@@ -412,11 +399,8 @@ class _Slots:
                             end(ended, b, TrainStatus.DIVERGED)
 
             kernel.backward()
-            if untrimmed:
-                kernel.gradient_sum(grad_weights, grad_intercepts)
-            for g in trimmed:
-                kernel.gradient_sum(g.grad_weights, g.grad_intercepts, g.kept)
-            np.divide(grad, rows, out=grad)
+            for g in groups:
+                g.mean_gradient(kernel)
             for b, transform in transformed:
                 if b not in ended:
                     try:

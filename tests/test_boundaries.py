@@ -1,4 +1,4 @@
-"""Two boundaries inside the package.
+"""Three boundaries inside the package.
 
 The standalone route stays out of production: of the package's modules,
 only net.py and losses.py, which define it, name its functions. The
@@ -7,7 +7,11 @@ groups; tests and perfbench call the standalone route.
 
 The contamination kinds that replace data up front are named only in
 contamination.py, whose apply_contamination draws them all, so a change
-to how they are drawn is an edit in one place."""
+to how they are drawn is an edit in one place.
+
+In the trainer, only the loss group knows that a trimmed loss sums and
+averages its kept rows rather than all of them; the slots lay runs out
+without asking which loss trims."""
 
 import ast
 from pathlib import Path
@@ -22,6 +26,7 @@ PRODUCTION = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("net.
 # experiment.py may name Y_ITERATIVE: it builds the adaptive attacker
 UP_FRONT_KINDS = {"Y_CONVEX", "X_CASEWISE", "XY_CELLWISE"}
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+TRIMMING = {"is_trimmed", "trim_count", "trim_alpha", "_trim_rows"}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -56,3 +61,22 @@ def test_the_kind_names_are_found_where_they_are_defined():
 def test_only_contamination_names_the_up_front_kinds(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert referenced_names(tree) & UP_FRONT_KINDS == set()
+
+
+def trainer_parts() -> tuple[ast.AST, ast.Module]:
+    """optimizer.py's _LossGroup class, and the module without it."""
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text(), filename="optimizer.py")
+    (group,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_LossGroup"]
+    rest = ast.Module([node for node in tree.body if node is not group], type_ignores=[])
+    return group, rest
+
+
+def test_the_loss_group_names_the_trimming():
+    group, _ = trainer_parts()
+    assert TRIMMING <= referenced_names(group)
+
+
+def test_only_the_loss_group_names_the_trimming():
+    _, rest = trainer_parts()
+    assert referenced_names(rest) & TRIMMING == set()

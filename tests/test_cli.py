@@ -59,6 +59,8 @@ class TestParseConfig:
         ("diverge_norm", {"diverge_norm": -1.0}),
         ("data.n_test", {"data": {"p": 3, "n_train": 30, "n_test": 0}}),
         ("optimizer.eta", {"optimizer": {"eta": 0.0}}),
+        ("optimizer.delta_min must be positive",
+         {"optimizer": {"delta_min": -1.0, "delta0": -0.5}}),
         ("'losses' entry 'trim100'", {"losses": ["trim100"]}),
         ("optimizer.rule must be one of", {"optimizer": {"rule": "sign_gd"}}),
         ("contamination.kind must be one of", {"contamination": {"kind": ["none", "bogus"]}}),
@@ -458,6 +460,22 @@ class TestCmdReport:
         labels = [t.text for t in root.findall(f"{ns}text")]
         assert "Inf" in labels
         assert "Huber" in labels and "Squared" in labels
+
+    @pytest.mark.parametrize("mean", ["inf", "nan", "Infinity", "1e400"])
+    def test_a_mean_that_is_not_finite_gets_no_bar(self, tmp_path, mean):
+        # any text float() reads as inf or NaN is charted as run's Inf is
+        def chart(written, name):
+            rows = [self.GOOD_ROW.replace(",0.5,", f",{written},"),
+                    self.GOOD_ROW.replace("squared", "huber")]
+            summary = tmp_path / name / "summary.csv"
+            summary.parent.mkdir()
+            summary.write_text("\n".join([",".join(cli.SUMMARY_HEADER), *rows]) + "\n")
+            charts = tmp_path / name / "charts"
+            assert cli.main(["report", "--summary", str(summary), "--out", str(charts)]) == 0
+            (svg,) = charts.glob("*.svg")
+            return svg.read_text()
+
+        assert chart(mean, "given") == chart("Inf", "want")
 
     def test_each_bar_is_labelled_with_its_capitalised_token(self, tmp_path):
         header = ",".join(cli.SUMMARY_HEADER)

@@ -386,24 +386,26 @@ KERNEL_ARCHS = [make_arch(3, (5,) * 10), make_arch(3, (5,) * 10, Activation.SOFT
 
 @st.composite
 def kernel_cases(draw):
-    """Slots, rows, a prefix of k slots for the full sum, and a group of
-    adjacent slots with kept-row subsets of one size h, each its own."""
+    """Slots, rows, k slots from slot `first` on for the full sum, and a
+    group of adjacent slots with kept-row subsets of one size h, each its
+    own."""
     arch = draw(st.sampled_from(KERNEL_ARCHS))
     slots = draw(st.integers(1, 5))
     n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, slots))
+    first = draw(st.integers(0, slots - 1))
+    k = draw(st.integers(1, slots - first))
     start = draw(st.integers(0, slots - 1))
     count = draw(st.integers(1, slots - start))
     h = draw(st.integers(1, n))
     seed = draw(st.integers(0, 2**32 - 1))
-    return arch, slots, n, k, start, count, h, seed
+    return arch, slots, n, first, k, start, count, h, seed
 
 
 class TestBatchKernelGradientSum:
     @settings(max_examples=40, deadline=None)
     @given(case=kernel_cases())
     def test_sums_equal_the_per_instance_oracle(self, case):
-        arch, slots, n, k, start, count, h, seed = case
+        arch, slots, n, first, k, start, count, h, seed = case
         rng = np.random.default_rng(seed)
         n_params = count_parameters(arch)[2]
         params = rng.standard_normal((slots, n_params))
@@ -416,13 +418,13 @@ class TestBatchKernelGradientSum:
             kernel.backward()
 
         full = np.full((k, n_params), np.nan)
-        assert kernel.gradient_sum(*views(arch, full)) == n
+        assert kernel.gradient_sum(*views(arch, full), start=first) == n
         kept = np.sort(np.stack([rng.permutation(n)[:h] for _ in range(count)]), axis=1)
         trimmed = np.full((count, n_params), np.nan)
         rows = kept + np.arange(start, start + count)[:, None] * n
         assert kernel.gradient_sum(*views(arch, trimmed), rows) == h
 
-        for got, b, subset in [(full[b], b, slice(None)) for b in range(k)] + \
+        for got, b, subset in [(full[j], first + j, slice(None)) for j in range(k)] + \
                 [(trimmed[j], start + j, kept[j]) for j in range(count)]:
             net = Network(arch, params[b])
             per_instance = backprop(net, X[b], dloss[b])[subset]

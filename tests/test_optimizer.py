@@ -47,10 +47,16 @@ class TestOptimizerSpecValidation:
             OptimizerSpec(delta0=100.0, delta_max=50.0)
 
     @pytest.mark.parametrize("field", ["eta", "grad_threshold", "eta_minus", "eta_plus",
-                                       "delta0"])
+                                       "delta0", "delta_min"])
     def test_nan_rejected(self, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             OptimizerSpec(**{field: math.nan})
+
+    @pytest.mark.parametrize("delta_min,delta0", [(0.0, 0.0), (-1.0, -0.5)])
+    def test_step_bounds_must_be_positive(self, delta_min, delta0):
+        # a zero step never moves; a negative one climbs the loss
+        with pytest.raises(ValueError, match="^delta_min must be positive"):
+            OptimizerSpec(delta_min=delta_min, delta0=delta0)
 
 
 class TestSignGdStep:

@@ -175,8 +175,8 @@ def test_every_study_loss_side_by_side():
 
 def test_a_trimmed_run_refilled_between_untrimmed_ones():
     # slots 0 and 2 train squared and Huber runs; slot 1's run diverges at
-    # epoch 1 and a trimmed run takes its place, so the trimmed run moves
-    # behind the untrimmed ones, which the full gradient sum then covers
+    # epoch 1 and a trimmed run takes its place, where it stays: the
+    # squared, trimmed and Huber groups each sum their own slots' gradients
     arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
     jobs = make_jobs(arch, np.random.default_rng(21), count=6)
     losses = [L.LossSpec.squared(), L.LossSpec.squared(), L.LossSpec.huber(),
