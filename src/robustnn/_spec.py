@@ -1,7 +1,10 @@
-"""Enum-valued fields of the frozen spec dataclasses, which take a member
-or its string value."""
+"""Rules shared by the spec modules: enum-valued fields of the frozen spec
+dataclasses, which take a member or its string value, and the rounding of
+a rate times a row count to a count of rows."""
 
 from __future__ import annotations
+
+import math
 
 
 def member(enum_cls, value, name: str):
@@ -21,3 +24,14 @@ def set_members(spec, **enum_classes) -> None:
         value = getattr(spec, name)
         if type(value) is not enum_cls:
             object.__setattr__(spec, name, member(enum_cls, value, name))
+
+
+def ceil_count(rate: float, n: int) -> int:
+    """ceil(rate * n), with the product snapped to the nearest integer first
+    so that the binary representations of decimal rates (0.1, 0.25, ...)
+    cannot push the ceiling one step too high."""
+    x = rate * n
+    nearest = round(x)
+    if abs(x - nearest) < 1e-9:
+        return int(nearest)
+    return int(math.ceil(x))

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
@@ -37,10 +36,7 @@ from .experiment import (
     summarize,
 )
 from .losses import LossSpec
-from .net import Activation
 from .optimizer import OptimizerSpec
-
-SEED_ENV_VAR = "ROBUSTNN_SEED"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,11 +162,8 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
     conts = _specs(ContaminationSpec, "contamination.",
                    _section(top.pop("contamination")[0], ContaminationSpec, "contamination.",
                             lists=("kind", "r", "mu_out")))
-    activations = [_build(member, "", Activation, a, "activation") for a in top.pop("activation")]
-    if Activation.IDENTITY in activations:
-        raise ConfigError("'activation' must be logistic or softplus")
     depths = [_build(member, "", Depth, depth, "depth") for depth in top.pop("depth")]
-    standardizes = top.pop("standardize")
+    activations, standardizes = top.pop("activation"), top.pop("standardize")
     opt_doc = top.pop("optimizer", [None])[0]
     opt = None if opt_doc is None else _section(opt_doc, OptimizerSpec, "optimizer.")
     # an optimizer section without stepmax takes the depth's epoch cap
@@ -189,12 +182,13 @@ def expand_config(doc: dict) -> list[ExperimentConfig]:
     return cfgs
 
 
-def parse_config(path) -> list[ExperimentConfig]:
+def parse_config(path, base_seed: int | None = None) -> list[ExperimentConfig]:
     """Read a JSON configuration file: either one document or a list of
     documents whose expansions are concatenated. Two configurations with
-    one config_id are rejected: their runs would share seeds, rows and a
-    summary cell. A file that cannot be opened or decoded as text is a
-    ConfigError naming it."""
+    one config_id are rejected (see experiment.check_unique_ids). A
+    base_seed, the --seed option, replaces every configuration's own. A
+    file that cannot be opened or decoded as text is a ConfigError naming
+    it."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -206,13 +200,10 @@ def parse_config(path) -> list[ExperimentConfig]:
     if not docs:
         raise ConfigError(f"{path} holds an empty list of documents")
     cfgs = [cfg for entry in docs for cfg in expand_config(entry)]
-    seen = set()
-    for cfg in cfgs:
-        if cfg.config_id in seen:
-            raise ConfigError(f"configuration id '{cfg.config_id}' occurs twice: the two "
-                              "differ only in keys the id leaves out, or not at all")
-        seen.add(cfg.config_id)
-    return cfgs
+    _build(exp.check_unique_ids, "", cfgs)
+    if base_seed is None:
+        return cfgs
+    return [replace(cfg, base_seed=base_seed) for cfg in cfgs]
 
 
 def _section_doc(spec) -> dict:
@@ -332,8 +323,7 @@ def cmd_run(config_path, out_dir, parallelism: int = 1,
     try:
         if parallelism < 1:
             raise ConfigError(f"--parallel must be at least 1, got {parallelism}")
-        cfgs = parse_config(config_path)
-        cfgs = _apply_seed_override(cfgs, seed_override)
+        cfgs = parse_config(config_path, seed_override)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -456,8 +446,7 @@ def cmd_probe(config_path, seed_override: int | None = None,
     prepared exactly as run prepares it, and print the weight-norm
     trajectory."""
     try:
-        cfgs = parse_config(config_path)
-        cfgs = _apply_seed_override(cfgs, seed_override)
+        cfgs = parse_config(config_path, seed_override)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -484,22 +473,6 @@ def cmd_probe(config_path, seed_override: int | None = None,
           f"ratio={outcome.sup_weight_norm / n0 if n0 > 0 else float('inf'):.3g} "
           f"breakdown={outcome.breakdown}")
     return EXIT_OK
-
-
-def _apply_seed_override(cfgs: list[ExperimentConfig],
-                         seed_override: int | None) -> list[ExperimentConfig]:
-    """--seed wins over ROBUSTNN_SEED wins over the config's base_seed."""
-    seed = seed_override
-    if seed is None:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return cfgs
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    return [replace(cfg, base_seed=seed) for cfg in cfgs]
 
 
 def build_parser() -> argparse.ArgumentParser:

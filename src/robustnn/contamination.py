@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._spec import set_members
+from ._spec import ceil_count, set_members
 from .datagen import Dataset
 
 
@@ -46,13 +46,8 @@ class ContaminationSpec:
 
 
 def contamination_count(r: float, n: int) -> int:
-    """ceil(r * n) with a snap to the nearest integer so decimal radii whose
-    float product lands epsilon above an integer do not over-count."""
-    x = r * n
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(x))
+    """m = ceil(r * n) by ceil_count."""
+    return ceil_count(r, n)
 
 
 def apply_contamination(data: Dataset, spec: ContaminationSpec,

@@ -94,6 +94,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         set_members(self, activation=Activation, depth=Depth)
+        if self.activation == Activation.IDENTITY:
+            raise ValueError("activation must be logistic or softplus, got identity")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
         if not self.diverge_norm > 0:
@@ -163,6 +165,17 @@ class ExperimentConfig:
         if self.optimizer is not None:
             return self.optimizer
         return OptimizerSpec(stepmax=DEPTH_STEPMAX[self.depth])
+
+
+def check_unique_ids(cfgs: list[ExperimentConfig]) -> None:
+    """Raise ValueError if two configurations share one config_id: their
+    runs would share seeds, rows and a summary cell."""
+    seen = set()
+    for cfg in cfgs:
+        if cfg.config_id in seen:
+            raise ValueError(f"configuration id '{cfg.config_id}' occurs twice: the two "
+                             "differ only in keys the id leaves out, or not at all")
+        seen.add(cfg.config_id)
 
 
 def derive_seed(*parts) -> int:
@@ -247,8 +260,8 @@ def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
     ValueError when the training responses cannot be standardized:
     DegenerateStandardizationError when they are all equal.
     """
-    if rep >= cfg.replications:
-        raise ValueError("rep exceeds the configured replication count")
+    if not 0 <= rep < cfg.replications:
+        raise ValueError(f"rep must lie in [0, {cfg.replications}), got {rep}")
     base, data, dkey, contamination, ckey, standardize = cfg.scenario_key
 
     rng_data = np.random.default_rng(derive_seed("data", base, dkey, rep))
@@ -458,10 +471,12 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
     Runs of one shape train side by side (see _run_queue), each one's
     record equal to run_single's. The output is sorted by (config_id, rep),
     so the result is independent of scheduling and of the degree of
-    parallelism.
+    parallelism. Two configurations with one config_id are a ValueError
+    (see check_unique_ids).
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    check_unique_ids(cfgs)
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
     queues = _queues(tasks, parallelism)
     if parallelism == 1 or len(queues) <= 1:

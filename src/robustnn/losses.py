@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._spec import set_members
+from ._spec import ceil_count, set_members
 
 TUKEY_K_DEFAULT = 4.685  # 95% efficiency tuning constant
 HUBER_DELTA_FLOOR = 1e-8
@@ -220,18 +220,12 @@ def loss_gradient(spec: LossSpec, r, delta: float | None = None):
 
 
 def trim_count(n: int, alpha: float) -> int:
-    """h = ceil((1-alpha) * n), with the product snapped to the nearest
-    integer first so binary representations of decimal rates (0.1, 0.25, ...)
-    cannot push the ceiling one step too high."""
+    """h = ceil((1-alpha) * n) by ceil_count, and at least 1."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    x = (1.0 - alpha) * n
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return max(int(nearest), 1)
-    return max(int(math.ceil(x)), 1)
+    return max(ceil_count(1.0 - alpha, n), 1)
 
 
 @dataclass(frozen=True)

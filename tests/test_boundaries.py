@@ -1,4 +1,4 @@
-"""Three boundaries inside the package.
+"""Four boundaries inside the package.
 
 The standalone route stays out of production: of the package's modules,
 only net.py and losses.py, which define it, name its functions. The
@@ -11,7 +11,10 @@ to how they are drawn is an edit in one place.
 
 In the trainer, only the loss group knows that a trimmed loss sums and
 averages its kept rows rather than all of them; the slots lay runs out
-without asking which loss trims."""
+without asking which loss trims.
+
+No module reads the environment: a run's settings come from its
+configuration file and the command line, which its outputs follow from."""
 
 import ast
 from pathlib import Path
@@ -27,6 +30,7 @@ PRODUCTION = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("net.
 UP_FRONT_KINDS = {"Y_CONVEX", "X_CASEWISE", "XY_CELLWISE"}
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 TRIMMING = {"is_trimmed", "trim_count", "trim_alpha", "_trim_rows"}
+ENVIRONMENT = {"environ", "getenv", "putenv"}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -80,3 +84,9 @@ def test_the_loss_group_names_the_trimming():
 def test_only_the_loss_group_names_the_trimming():
     _, rest = trainer_parts()
     assert referenced_names(rest) & TRIMMING == set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert referenced_names(tree) & ENVIRONMENT == set()

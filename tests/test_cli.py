@@ -66,6 +66,7 @@ class TestParseConfig:
         ("contamination.kind must be one of", {"contamination": {"kind": ["none", "bogus"]}}),
         ("structure must be one of", {"structure": ["lin", "cubic"]}),
         ("activation must be one of", {"activation": "relu"}),
+        ("activation must be logistic or softplus", {"activation": "identity"}),
         ("depth must be one of", {"depth": "medium"}),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, overrides):
@@ -370,22 +371,24 @@ class TestCmdRun:
             else:
                 assert after == before
 
-    def test_seed_env_override_changes_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, base_doc())
-        cli.cmd_run(cfg, tmp_path / "a")
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "12345")
-        cli.cmd_run(cfg, tmp_path / "b")
-        assert ((tmp_path / "a" / "results.csv").read_bytes()
-                != (tmp_path / "b" / "results.csv").read_bytes())
-
-    def test_explicit_seed_flag_wins_over_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, base_doc())
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "12345")
-        cli.cmd_run(cfg, tmp_path / "a", seed_override=7)
-        monkeypatch.delenv(cli.SEED_ENV_VAR)
-        cli.cmd_run(cfg, tmp_path / "b", seed_override=7)
-        assert ((tmp_path / "a" / "results.csv").read_bytes()
-                == (tmp_path / "b" / "results.csv").read_bytes())
+    def test_the_seed_option_replaces_the_files_base_seed(self, tmp_path, capsys):
+        # run and probe on a file with base_seed 3 and --seed 7 write what
+        # they write for the same file with base_seed 7, not what base_seed 3 gives
+        paths = {seed: write_config(tmp_path, base_doc(base_seed=seed), f"seed{seed}.json")
+                 for seed in (3, 7)}
+        written = {}
+        for name, path, flag in [("three", paths[3], []), ("seven", paths[7], []),
+                                 ("three --seed 7", paths[3], ["--seed", "7"])]:
+            out = tmp_path / f"out{len(written)}"
+            assert cli.main(["run", "--config", str(path), "--out", str(out)] + flag) == 0
+            capsys.readouterr()
+            assert cli.main(["probe", "--config", str(path)] + flag) == 0
+            written[name] = ((out / "results.csv").read_bytes(),
+                             (out / "summary.csv").read_bytes(), capsys.readouterr().out)
+        for got, seven, three in zip(written["three --seed 7"], written["seven"],
+                                     written["three"]):
+            assert got == seven
+            assert got != three
 
 
 class TestCmdReport:
@@ -552,9 +555,7 @@ class TestCmdDatagenAndProbe:
         {"kind": "y-iterative", "r": 0.5, "mu_out": 1.0},
         {"kind": "y-convex", "r": 0.1, "mu_out": 100},
     ])
-    def test_probe_trains_the_run_of_rep_zero(self, tmp_path, capsys, monkeypatch,
-                                              contamination):
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    def test_probe_trains_the_run_of_rep_zero(self, tmp_path, capsys, contamination):
         doc = base_doc(standardize=False, contamination=contamination, replications=1,
                        optimizer={"rule": "sign-gd", "stepmax": 300})
         path = write_config(tmp_path, doc)

@@ -74,7 +74,9 @@ class TestConfigIds:
         assert LossSpec.trimmed(0.5).token == "trim50"
 
     @pytest.mark.parametrize("field", [dict(diverge_norm=math.nan),
-                                       dict(diverge_norm=0.0), dict(replications=0)])
+                                       dict(diverge_norm=0.0), dict(replications=0),
+                                       dict(activation="identity"),
+                                       dict(activation=Activation.IDENTITY)])
     def test_invalid_values_rejected(self, field):
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             dataclasses.replace(small_config(), **field)
@@ -164,9 +166,10 @@ class TestRunSingle:
         assert a.config_id != b.config_id
         assert a.seed != b.seed
 
-    def test_rep_bound_checked(self):
-        with pytest.raises(ValueError):
-            E.run_single(small_config(replications=1), 1)
+    @pytest.mark.parametrize("rep", [1, -1])
+    def test_rep_bound_checked(self, rep):
+        with pytest.raises(ValueError, match=r"^rep must lie in \[0, 1\)"):
+            E.run_single(small_config(replications=1), rep)
 
     def test_modified_test_set_is_recorded_as_error(self, monkeypatch):
         # the check is an explicit raise, so it also holds under python -O
@@ -201,6 +204,12 @@ class TestRunSingle:
 class TestRunSweep:
     def test_empty_config_list(self):
         assert E.run_sweep([]) == []
+
+    def test_a_repeated_configuration_is_rejected(self):
+        # its records would count twice in its cell's summary
+        cfg = small_config(stepmax=50)
+        with pytest.raises(ValueError, match=f"^configuration id '{cfg.config_id}' occurs twice"):
+            E.run_sweep([cfg, small_config(loss=LossSpec.huber(), stepmax=50), cfg])
 
     def test_record_count(self):
         cfgs = [small_config(loss=LossSpec.squared(), replications=3),
