@@ -76,12 +76,6 @@ def _num(value, key: str) -> float:
     return float(value)
 
 
-def _int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
 def _bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"'{key}' must be boolean, got {value!r}")
@@ -90,7 +84,7 @@ def _bool(value, key: str) -> bool:
 
 # JSON type checks by a field's annotation; the specs check every other
 # value themselves
-_CHECKS = {"int": _int, "float": _num, "bool": _bool}
+_CHECKS = {"float": _num, "bool": _bool}
 
 
 def _build(make, prefix: str, *args, **kwargs):

@@ -40,9 +40,13 @@ class ContaminationSpec:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
         if not self.out_sd > 0:
             raise ValueError(f"out_sd must be positive, got {self.out_sd}")
+        if not math.isfinite(self.out_sd):
+            raise ValueError(f"out_sd must be finite, got {self.out_sd}")
         # the adaptive attacker's offset bound
         if self.kind == ContaminationKind.Y_ITERATIVE and not self.mu_out > 0:
             raise ValueError(f"mu_out must be positive for {self.kind.value}, got {self.mu_out}")
+        if not math.isfinite(self.mu_out):
+            raise ValueError(f"mu_out must be finite, got {self.mu_out}")
 
 
 def contamination_count(r: float, n: int) -> int:

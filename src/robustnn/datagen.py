@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._spec import set_members
+from ._spec import set_integers, set_members
 
 POLY_SINGULARITY_FLOOR = 1e-12
 
@@ -33,6 +33,7 @@ class DataGenSpec:
 
     def __post_init__(self):
         set_members(self, structure=Structure)
+        set_integers(self, "p", "n_train", "n_test")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
         if self.n_train < 1:

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._spec import set_members
+from ._spec import set_integers, set_members
 from .contamination import (
     ContaminationKind,
     ContaminationSpec,
@@ -94,8 +94,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         set_members(self, activation=Activation, depth=Depth)
-        if self.activation == Activation.IDENTITY:
-            raise ValueError("activation must be logistic or softplus, got identity")
+        set_integers(self, "replications", "base_seed")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
         if not self.diverge_norm > 0:
@@ -151,7 +150,6 @@ class ExperimentConfig:
             input_dim=self.data.p,
             hidden_sizes=DEPTH_HIDDEN[self.depth],
             hidden_activation=self.activation,
-            output_activation=Activation.IDENTITY,
         )
 
     def init_seed(self, rep: int) -> int:

@@ -1,10 +1,10 @@
 """Feed-forward regression network core.
 
 Plain numpy implementation of a fully-connected feed-forward network with
-one real-valued output node: batch forward pass, exact backpropagation to
-the mean gradient over all or a subset of rows and parameter accounting.
-A network is its flat parameter vector, whose layout this module alone
-decides.
+hidden layers of one activation and one linear output node: batch forward
+pass, exact backpropagation to the mean gradient over all or a subset of
+rows and parameter accounting. A network is its flat parameter vector,
+whose layout this module alone decides.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from ._spec import set_members
+from ._spec import integer, set_integers, set_members
 
 
 class Activation(str, Enum):
     LOGISTIC = "logistic"
     SOFTPLUS = "softplus"
-    IDENTITY = "identity"
 
 
 # Elementwise kernels writing into a caller-owned array `out` of a's shape.
@@ -38,14 +37,9 @@ def _softplus(a, out):
     return np.logaddexp(0.0, a, out=out)
 
 
-def _identity(a, out):
-    return a
-
-
 _ACTIVATE = {
     Activation.LOGISTIC: _logistic,
     Activation.SOFTPLUS: _softplus,
-    Activation.IDENTITY: _identity,
 }
 
 
@@ -64,29 +58,26 @@ def _scale_softplus(g, a, z, tmp):
     np.multiply(g, _logistic(a, tmp), out=g)
 
 
-def _scale_identity(g, a, z, tmp):
-    pass
-
-
 _SCALE_BY_DERIV = {
     Activation.LOGISTIC: _scale_logistic,
     Activation.SOFTPLUS: _scale_softplus,
-    Activation.IDENTITY: _scale_identity,
 }
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer layout of a regression network: p inputs, H hidden layers, one output."""
+    """Layer layout of a regression network: p inputs, H hidden layers of
+    one activation, and one linear output node."""
 
     input_dim: int
     hidden_sizes: tuple[int, ...]
     hidden_activation: Activation = Activation.LOGISTIC
-    output_activation: Activation = Activation.IDENTITY
 
     def __post_init__(self):
-        set_members(self, hidden_activation=Activation, output_activation=Activation)
-        object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
+        set_members(self, hidden_activation=Activation)
+        set_integers(self, "input_dim")
+        object.__setattr__(self, "hidden_sizes",
+                           tuple(integer(s, "hidden_sizes entry") for s in self.hidden_sizes))
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if len(self.hidden_sizes) < 1:
@@ -98,15 +89,6 @@ class Architecture:
     def layer_sizes(self) -> tuple[int, ...]:
         """Node counts per layer including input (index 0) and the single output."""
         return (self.input_dim, *self.hidden_sizes, 1)
-
-    @property
-    def n_layers(self) -> int:
-        """Number of weighted layers (hidden layers plus output layer)."""
-        return len(self.hidden_sizes) + 1
-
-    def activation_of(self, layer: int) -> Activation:
-        """Activation of weighted layer `layer` (1-based; output layer = n_layers)."""
-        return self.output_activation if layer == self.n_layers else self.hidden_activation
 
 
 class Network:
@@ -179,52 +161,49 @@ def init_weights(arch: Architecture, rng: np.random.Generator) -> Network:
 
 def _forward_arrays(arch: Architecture, X: np.ndarray) -> tuple[list, list]:
     """Pre-activation arrays per weighted layer and activation arrays with
-    the input first; an identity layer's activation is its pre-activation.
+    the input first; the linear output's activation is its pre-activation.
     X is (n, p), or (B, n, p) for B runs side by side."""
     pre = [np.empty((*X.shape[:-1], size)) for size in arch.layer_sizes[1:]]
-    acts = [X] + [a if arch.activation_of(h) == Activation.IDENTITY else np.empty_like(a)
-                  for h, a in enumerate(pre, start=1)]
-    return pre, acts
+    return pre, [X, *(np.empty_like(a) for a in pre[:-1]), pre[-1]]
 
 
 def _forward_steps(net: Network, pre, acts) -> list[tuple]:
     """Per weighted layer: (input, W^T, b, pre-activation, activation
-    kernel, activation), the arrays the forward pass reads and writes. The
-    intercepts get a row axis, so they broadcast over the rows of each run."""
+    kernel, activation), the arrays the forward pass reads and writes, with
+    no kernel for the linear output. The intercepts get a row axis, so they
+    broadcast over the rows of each run."""
     arch = net.architecture
-    kernels = [_ACTIVATE[arch.activation_of(h)] for h in range(1, arch.n_layers + 1)]
+    kernels = [_ACTIVATE[arch.hidden_activation]] * len(arch.hidden_sizes) + [None]
     return list(zip(acts, [w.swapaxes(-1, -2) for w in net.weights],
                     [b[..., None, :] for b in net.intercepts], pre, kernels, acts[1:]))
 
 
 def _run_forward(steps) -> None:
-    """a_h = z_{h-1} W_h^T + b_h and z_h = sigma_h(a_h), layer by layer."""
+    """a_h = z_{h-1} W_h^T + b_h layer by layer, and z_h = sigma(a_h) for
+    the hidden layers."""
     for z, wt, b, a, act, out in steps:
         np.matmul(z, wt, out=a)
         np.add(a, b, out=a)
-        act(a, out)
+        if act is not None:
+            act(a, out)
 
 
 def _backward_steps(net: Network, pre, acts, deltas, scratch) -> list[tuple]:
-    """Per weighted layer from the output back: (delta and W of the layer
-    above, or None for the output layer, this layer's delta, derivative
-    scaling, pre-activation, activation, scratch)."""
+    """Per hidden layer from the last back: (delta and W of the layer
+    above, this layer's delta, derivative scaling, pre-activation,
+    activation, scratch)."""
     arch = net.architecture
-    steps = []
-    for h in range(arch.n_layers - 1, -1, -1):
-        above = (deltas[h + 1], net.weights[h + 1]) if h + 1 < arch.n_layers else (None, None)
-        scale = _SCALE_BY_DERIV[arch.activation_of(h + 1)]
-        steps.append((*above, deltas[h], scale, pre[h], acts[h + 1], scratch[h]))
-    return steps
+    scale = _SCALE_BY_DERIV[arch.hidden_activation]
+    return [(deltas[h + 1], net.weights[h + 1], deltas[h], scale, pre[h], acts[h + 1], scratch[h])
+            for h in range(len(arch.hidden_sizes) - 1, -1, -1)]
 
 
 def _run_backward(steps) -> None:
-    """The output delta, which holds dL/dyhat on entry, becomes
-    dL/dyhat * sigma'(a_out); earlier layers follow the chain-rule recursion
+    """The output delta holds dL/dyhat on entry, which is the linear output
+    layer's error term; the hidden layers follow the chain-rule recursion
     delta_h = (delta_{h+1} W_{h+1}) * sigma'(a_h)."""
     for d_above, w, d, scale, a, z, tmp in steps:
-        if d_above is not None:
-            np.matmul(d_above, w, out=d)
+        np.matmul(d_above, w, out=d)
         scale(d, a, z, tmp)
 
 
@@ -284,7 +263,7 @@ class BatchKernel:
         self.net, self.X = net, X
         self.pre, self.acts = _forward_arrays(net.architecture, X)
         self.deltas = [np.empty_like(a) for a in self.pre]
-        self._scratch = [np.empty_like(a) for a in self.pre]
+        self._scratch = [np.empty_like(a) for a in self.pre[:-1]]
         self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
         self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
         self._sums: dict[tuple, list] = {}
@@ -373,8 +352,8 @@ def predict(net: Network, X) -> np.ndarray:
 def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarray]:
     """Backpropagated error terms delta per layer, shape (n, L_h) each.
 
-    dloss_dpred holds dL/dyhat per instance. The output-layer delta is
-    dL/dyhat * sigma'(a_out); earlier layers follow the chain-rule recursion
+    dloss_dpred holds dL/dyhat per instance, which is the delta of the
+    linear output layer; the hidden layers follow the chain-rule recursion
     delta_h = (W_{h+1}^T delta_{h+1}) * sigma'(a_h).
     """
     pre, acts = trace.pre_activations, trace.activations
@@ -382,7 +361,7 @@ def batch_deltas(net: Network, trace: BatchTrace, dloss_dpred) -> list[np.ndarra
     np.copyto(deltas[-1], np.asarray(dloss_dpred, dtype=np.float64).reshape(-1, 1))
     with np.errstate(over="ignore"):
         _run_backward(_backward_steps(net, pre, acts, deltas,
-                                      [np.empty_like(a) for a in pre]))
+                                      [np.empty_like(a) for a in pre[:-1]]))
     return deltas
 
 

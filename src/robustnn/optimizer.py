@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import losses as L
-from ._spec import set_members
+from ._spec import set_integers, set_members
 from .net import BatchKernel, Network, count_parameters
 
 DEFAULT_DIVERGE_NORM = 1e8
@@ -49,6 +49,7 @@ class OptimizerSpec:
 
     def __post_init__(self):
         set_members(self, rule=Rule)
+        set_integers(self, "stepmax")
         # each check is written so that NaN fails it; the messages start
         # with the field name, which the CLI prefixes with its config key
         if not 0.0 < self.eta_minus < 1.0:

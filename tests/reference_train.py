@@ -39,27 +39,21 @@ def _activate_deriv(kind, z):
 
 
 def reference_forward_batch(net, X):
-    arch = net.architecture
+    """Hidden layers of the hidden activation, then the linear output."""
+    layers = len(net.weights)
     pre, acts, z = [], [X], X
-    for h in range(arch.n_layers):
+    for h in range(layers):
         a = z @ net.weights[h].T + net.intercepts[h]
-        z = _activate(arch.activation_of(h + 1), a)
+        z = a if h == layers - 1 else _activate(net.architecture.hidden_activation, a)
         pre.append(a)
         acts.append(z)
     return pre, acts, z[:, 0]
 
 
 def reference_batch_deltas(net, pre, acts, dl):
-    arch = net.architecture
-    dl = dl.reshape(-1, 1)
-    out_kind = arch.activation_of(arch.n_layers)
-    if out_kind == Activation.IDENTITY:
-        d = dl.copy()
-    else:
-        d = dl * _activate_deriv(out_kind, pre[-1])
-    deltas = [d]
-    hid = arch.hidden_activation
-    for h in range(arch.n_layers - 2, -1, -1):
+    deltas = [dl.reshape(-1, 1).copy()]
+    hid = net.architecture.hidden_activation
+    for h in range(len(net.weights) - 2, -1, -1):
         g = deltas[0] @ net.weights[h + 1]
         if hid == Activation.LOGISTIC:
             z_act = acts[h + 1]

@@ -69,7 +69,7 @@ def breakdown_data(seed):
     return train_ds.X, y
 
 
-SHALLOW = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+SHALLOW = Architecture(5, (10, 10), Activation.LOGISTIC)
 
 
 C01_ROWS = 5
@@ -117,7 +117,7 @@ def test_c01_gradient_oracle():
                     arch = Architecture(int(rng.integers(1, 5)),
                                         tuple(int(rng.integers(1, 6)) for _ in
                                               range(int(rng.integers(1, 3)))),
-                                        act, Activation.IDENTITY)
+                                        act)
                     net = init_weights(arch, rng)
                     p0 = net.params
 
@@ -176,11 +176,11 @@ def test_c02_parameter_count_table():
             (50, (5,) * 10, 51, 480),
         ]
         for p, hidden, n_b, n_w in rows:
-            arch = Architecture(p, hidden, Activation.LOGISTIC, Activation.IDENTITY)
+            arch = Architecture(p, hidden, Activation.LOGISTIC)
             got = count_parameters(arch)
             assert got == (n_b, n_w, n_b + n_w), (p, hidden, got)
         assert count_parameters(SHALLOW)[2] == 181
-        deep50 = Architecture(50, (5,) * 10, Activation.LOGISTIC, Activation.IDENTITY)
+        deep50 = Architecture(50, (5,) * 10, Activation.LOGISTIC)
         assert count_parameters(deep50)[2] == 531
 
 

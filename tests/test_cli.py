@@ -65,8 +65,13 @@ class TestParseConfig:
         ("optimizer.rule must be one of", {"optimizer": {"rule": "sign_gd"}}),
         ("contamination.kind must be one of", {"contamination": {"kind": ["none", "bogus"]}}),
         ("structure must be one of", {"structure": ["lin", "cubic"]}),
-        ("activation must be one of", {"activation": "relu"}),
-        ("activation must be logistic or softplus", {"activation": "identity"}),
+        ("activation must be one of {logistic, softplus}, got 'relu'", {"activation": "relu"}),
+        ("activation must be one of {logistic, softplus}, got 'identity'",
+         {"activation": "identity"}),
+        ("replications must be an integer, got 2.5", {"replications": 2.5}),
+        ("replications must be an integer, got True", {"replications": True}),
+        ("data.p must be an integer, got 2.5", {"data": {"p": 2.5, "n_train": 30, "n_test": 12}}),
+        ("optimizer.stepmax must be an integer, got 2.5", {"optimizer": {"stepmax": 2.5}}),
         ("depth must be one of", {"depth": "medium"}),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, overrides):

@@ -171,7 +171,9 @@ class TestDispatchAndDeterminism:
             ContaminationSpec(ContaminationKind.Y_CONVEX, r=1.5)
 
     @pytest.mark.parametrize("field", [dict(r=math.nan), dict(out_sd=math.nan),
-                                       dict(out_sd=0.0)])
+                                       dict(out_sd=0.0), dict(out_sd=math.inf),
+                                       dict(mu_out=math.nan), dict(mu_out=math.inf),
+                                       dict(mu_out=-math.inf)])
     def test_nan_and_out_of_range_values_rejected(self, field):
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             ContaminationSpec(ContaminationKind.Y_CONVEX, **field)
@@ -255,7 +257,7 @@ class TestAttackerProgress:
         n = 6
         X = rng.standard_normal((n, 1)) * 0.5
         y = np.full(n, 8.0)  # clean losses stay large throughout the horizon
-        arch = Architecture(1, (2,), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(1, (2,), Activation.LOGISTIC)
         net = init_weights(arch, rng)
         spec = OptimizerSpec(rule=Rule.SIGN_GD, eta=0.01)
         loss_spec = L.LossSpec.trimmed(0.5)

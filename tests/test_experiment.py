@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,8 +41,6 @@ class TestSpecEnumFields:
         (LossSpec, {}, "kind", "tukey", LossKind.TUKEY, "absolute"),
         (Architecture, {"input_dim": 2, "hidden_sizes": (3,)}, "hidden_activation",
          "softplus", Activation.SOFTPLUS, "relu"),
-        (Architecture, {"input_dim": 2, "hidden_sizes": (3,)}, "output_activation",
-         "logistic", Activation.LOGISTIC, "relu"),
         (DataGenSpec, {"p": 3, "n_train": 10, "n_test": 5}, "structure", "trig",
          Structure.TRIG, "cubic"),
         (ContaminationSpec, {}, "kind", "y-convex", ContaminationKind.Y_CONVEX, "bogus"),
@@ -60,6 +59,39 @@ class TestSpecEnumFields:
             with pytest.raises(ValueError, match=f"^{field} must be one of {{"):
                 spec(**args, **{field: value})
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_the_activation_is_logistic_or_softplus(self, activation):
+        with pytest.raises(ValueError, match=re.escape(
+                f"activation must be one of {{logistic, softplus}}, got {activation!r}")):
+            E.ExperimentConfig(**CONFIG_ARGS, activation=activation, depth="shallow")
+
+
+# every int field of the spec dataclasses, found by its annotation, with
+# valid values for the other fields
+INT_FIELDS = [(spec, args, f.name) for spec, args in [
+    (DataGenSpec, {"p": 3, "n_train": 10, "n_test": 5}),
+    (ContaminationSpec, {"kind": "none"}),
+    (LossSpec, {"kind": "squared"}),
+    (OptimizerSpec, {}),
+    (Architecture, {"input_dim": 2, "hidden_sizes": (3,)}),
+    (E.ExperimentConfig, {**CONFIG_ARGS, "activation": "logistic", "depth": "shallow"}),
+] for f in dataclasses.fields(spec) if f.type in ("int", int)]
+
+
+class TestSpecIntegerFields:
+    def test_the_fields_are_found(self):
+        assert [field for _, _, field in INT_FIELDS] == [
+            "p", "n_train", "n_test", "stepmax", "input_dim", "replications", "base_seed"]
+
+    @pytest.mark.parametrize("spec,args,field", INT_FIELDS)
+    def test_an_integer_or_a_numpy_integer_is_taken_and_nothing_else(self, spec, args, field):
+        value = getattr(spec(**{**args, field: np.int64(3)}), field)
+        assert type(value) is int and value == 3
+        for bad in (2.5, True, 3.0, "3", None):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+                spec(**{**args, field: bad})
+
 
 class TestConfigIds:
     def test_config_id_is_scenario_plus_loss(self):
@@ -75,8 +107,7 @@ class TestConfigIds:
 
     @pytest.mark.parametrize("field", [dict(diverge_norm=math.nan),
                                        dict(diverge_norm=0.0), dict(replications=0),
-                                       dict(activation="identity"),
-                                       dict(activation=Activation.IDENTITY)])
+                                       dict(activation="identity")])
     def test_invalid_values_rejected(self, field):
         with pytest.raises(ValueError, match=f"^{next(iter(field))} "):
             dataclasses.replace(small_config(), **field)

@@ -226,7 +226,7 @@ class TestTrimmedSelect:
 
 def _per_instance_setup(seed, n=8):
     rng = np.random.default_rng(seed)
-    arch = Architecture(3, (4,), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(3, (4,), Activation.LOGISTIC)
     net = init_weights(arch, rng)
     X = rng.standard_normal((n, 3))
     y = rng.standard_normal(n)

@@ -25,8 +25,8 @@ from robustnn.net import (
 from robustnn.optimizer import OptimizerSpec, TrainOutcome, TrainStatus, train
 
 
-def make_arch(p, hidden, hidden_act=Activation.LOGISTIC, out_act=Activation.IDENTITY):
-    return Architecture(p, tuple(hidden), hidden_act, out_act)
+def make_arch(p, hidden, hidden_act=Activation.LOGISTIC):
+    return Architecture(p, tuple(hidden), hidden_act)
 
 
 def zero_network(arch):
@@ -84,7 +84,7 @@ class TestActivations:
 
     def test_hidden_units_apply_the_same_kernels(self):
         # a one-unit hidden layer with weight 1 and intercept 0 passes z
-        # through the activation on the way to the identity output
+        # through the activation on the way to the linear output
         z = np.array([-800.0, -2.0, 0.0, 2.0, 31.0, 800.0])
         for kind in Activation:
             net = Network(make_arch(1, [1], hidden_act=kind), np.array([0.0, 0.0, 1.0, 1.0]))
@@ -96,7 +96,6 @@ class TestActivations:
         s = activation(Activation.LOGISTIC, z)
         np.testing.assert_allclose(activation_deriv(Activation.LOGISTIC, z), s * (1 - s))
         np.testing.assert_allclose(activation_deriv(Activation.SOFTPLUS, z), s)
-        np.testing.assert_allclose(activation_deriv(Activation.IDENTITY, z), np.ones_like(z))
 
 
 class TestArchitectureValidation:
@@ -109,6 +108,11 @@ class TestArchitectureValidation:
             Architecture(0, (4,))
         with pytest.raises(ValueError):
             Architecture(3, (4, 0))
+
+    @pytest.mark.parametrize("hidden", [(2.7,), (4, True), (3, "5")])
+    def test_rejects_non_integer_hidden_sizes(self, hidden):
+        with pytest.raises(ValueError, match="^hidden_sizes entry must be an integer, got "):
+            Architecture(3, hidden)
 
 
 class TestInitWeights:
@@ -172,17 +176,15 @@ class TestForward:
         def oracle(net, x):
             z = [float(v) for v in x]
             arch = net.architecture
-            for h in range(arch.n_layers):
-                W, b = net.weights[h], net.intercepts[h]
+            for h, (W, b) in enumerate(zip(net.weights, net.intercepts)):
                 a = [sum(W[l][j] * z[j] for j in range(len(z))) + b[l]
                      for l in range(len(b))]
-                kind = arch.activation_of(h + 1)
-                if kind == Activation.LOGISTIC:
-                    z = [1.0 / (1.0 + math.exp(-v)) for v in a]
-                elif kind == Activation.SOFTPLUS:
-                    z = [math.log1p(math.exp(v)) for v in a]
-                else:
+                if h == len(arch.hidden_sizes):
                     z = a
+                elif arch.hidden_activation == Activation.LOGISTIC:
+                    z = [1.0 / (1.0 + math.exp(-v)) for v in a]
+                else:
+                    z = [math.log1p(math.exp(v)) for v in a]
             return z[0]
 
         rng = np.random.default_rng(99)
@@ -243,7 +245,7 @@ class TestBackprop:
             assert np.all(g == 0.0)
 
     def test_output_intercept_gradient_is_output_delta(self):
-        # with identity output activation, delta_out = dL/dyhat exactly
+        # with a linear output, delta_out = dL/dyhat exactly
         arch = make_arch(2, [3])
         net = init_weights(arch, np.random.default_rng(7))
         X = np.random.default_rng(8).standard_normal((5, 2))
@@ -275,16 +277,13 @@ class TestBackprop:
             (L.LossSpec.huber(1.0), 1.0, 1.0),       # kink at |r| = 1
             (L.LossSpec.tukey(), None, L.TUKEY_K_DEFAULT),  # kink at |r| = k
         ]
-        acts = [(Activation.LOGISTIC, Activation.IDENTITY),
-                (Activation.SOFTPLUS, Activation.IDENTITY),
-                (Activation.LOGISTIC, Activation.SOFTPLUS)]
         while combos < 54:
             for spec, delta, kink in specs:
-                for hidden_act, out_act in acts:
+                for hidden_act in Activation:
                     arch = make_arch(int(rng.integers(1, 4)),
                                      [int(rng.integers(1, 5)) for _ in
                                       range(int(rng.integers(1, 3)))],
-                                     hidden_act, out_act)
+                                     hidden_act)
                     net = init_weights(arch, rng)
                     X = rng.standard_normal((3, arch.input_dim))
                     preds = forward_batch(net, X).predictions
@@ -313,7 +312,7 @@ class TestBackprop:
                     assert rel.max() <= 1e-6, f"{spec.kind} {hidden_act} rel={rel.max()}"
                     assert err[scale <= 1e-6].max(initial=0.0) <= 1e-9
                     combos += 1
-        assert combos >= 50
+        assert combos == 54
 
 
 class TestNetwork:

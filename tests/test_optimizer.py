@@ -29,7 +29,7 @@ from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, _in_place_updat
 
 
 def tiny_net(values=None):
-    arch = Architecture(1, (1,), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(1, (1,), Activation.LOGISTIC)
     n = count_parameters(arch)[2]  # 4 parameters
     vec = np.zeros(n) if values is None else np.asarray(values, dtype=float)
     return Network(arch, vec)
@@ -161,7 +161,7 @@ def clean_lin_data(seed, n=150, p=5, standardize=True):
 
 class TestTrain:
     def test_zero_gradient_converges_at_epoch_one(self):
-        arch = Architecture(3, (4,), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(3, (4,), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(5))
         X = np.random.default_rng(6).standard_normal((10, 3))
         y = forward_batch(net, X).predictions.copy()  # residuals are all zero
@@ -172,7 +172,7 @@ class TestTrain:
 
     def test_stepmax_cap_is_respected(self):
         X, y = clean_lin_data(0)
-        arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (10, 10), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(1))
         out = train(net, (X, y), L.LossSpec.squared(),
                     OptimizerSpec(stepmax=5, grad_threshold=1e-300))
@@ -180,7 +180,7 @@ class TestTrain:
         assert out.epochs_used == 5
 
     def test_clean_data_converges_for_most_seeds(self):
-        arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (10, 10), Activation.LOGISTIC)
         converged = 0
         for seed in range(10):
             X, y = clean_lin_data(seed)
@@ -191,7 +191,7 @@ class TestTrain:
         assert converged > 5
 
     def test_nonfinite_loss_reports_divergence(self):
-        arch = Architecture(2, (2,), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(2, (2,), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(4))
         X = np.zeros((3, 2))
         y = np.full(3, 1e200)  # squared residual overflows immediately
@@ -201,7 +201,7 @@ class TestTrain:
 
     def test_sup_norm_matches_norm_history_replay(self):
         X, y = clean_lin_data(2, n=60)
-        arch = Architecture(5, (6,), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (6,), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(3))
         out = train(net, (X, y), L.LossSpec.squared(),
                     OptimizerSpec(stepmax=200, grad_threshold=1e-300),
@@ -210,7 +210,7 @@ class TestTrain:
         assert len(out.norm_history) == out.epochs_used + 1
 
     def test_diverge_norm_must_exceed_initial(self):
-        arch = Architecture(2, (2,), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(2, (2,), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(4))
         with pytest.raises(ValueError):
             train(net, (np.zeros((3, 2)), np.zeros(3)), L.LossSpec.squared(),
@@ -221,7 +221,7 @@ class TestPositiveScaleInvariance:
     @pytest.mark.parametrize("rule", [Rule.RPROP_PLUS, Rule.SIGN_GD])
     def test_scaled_gradients_reproduce_trajectory(self, rule):
         # both rules see the gradient only through its sign
-        arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (10, 10), Activation.LOGISTIC)
         for seed in range(5):
             X, y = clean_lin_data(seed, n=80)
             spec = OptimizerSpec(rule=rule, stepmax=300, grad_threshold=1e-300)
@@ -251,7 +251,7 @@ class TestBreakdownBehaviour:
 
     def test_single_outlier_drives_norm_growth_under_sign_gd(self):
         X, y = self.setup_data(11)
-        arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (10, 10), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(12))
         n0 = float(np.linalg.norm(net.params))
         out = train(net, (X, y), L.LossSpec.squared(),
@@ -260,7 +260,7 @@ class TestBreakdownBehaviour:
 
     def test_half_trimming_blocks_the_same_outlier(self):
         X, y = self.setup_data(11)
-        arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(5, (10, 10), Activation.LOGISTIC)
         net = init_weights(arch, np.random.default_rng(12))
         n0 = float(np.linalg.norm(net.params))
         out = train(net, (X, y), L.LossSpec.trimmed(0.5),
@@ -273,7 +273,7 @@ class TestStepAndAggregationAgree:
     def test_one_epoch_of_train_matches_per_instance_route(self):
         # dual-route check: the trainer's vectorized epoch gradient must act
         # exactly like aggregate_gradients over backprop's per-instance rows
-        arch = Architecture(4, (5, 3), Activation.LOGISTIC, Activation.IDENTITY)
+        arch = Architecture(4, (5, 3), Activation.LOGISTIC)
         rng = np.random.default_rng(77)
         X = rng.standard_normal((12, 4))
         y = rng.standard_normal(12)

@@ -1,7 +1,8 @@
 """The README's library examples run as written: every ```python block,
 in order, in one namespace, as a reader would paste them. Its example
-configuration expands to the number of configurations it states, and its
-list of optimizer keys is the fields of OptimizerSpec."""
+configuration expands to the number of configurations it states, its
+list of optimizer keys is the fields of OptimizerSpec, and its list of
+activations is the members of Activation."""
 
 import json
 import re
@@ -9,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from robustnn import cli
+from robustnn.net import Activation
 from robustnn.optimizer import OptimizerSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +37,9 @@ def test_readme_lists_every_optimizer_key():
                            re.MULTILINE | re.DOTALL)
     # the rule's values are spelled with hyphens, which no key has
     assert re.findall(r"`(\w+)`", bullet) == [f.name for f in fields(OptimizerSpec)]
+
+
+def test_readme_lists_every_activation():
+    (bullet,) = re.findall(r"^- `activation` \(\*\)(.*?)^(?:- |\n)", README.read_text(),
+                           re.MULTILINE | re.DOTALL)
+    assert re.findall(r"`(\w+)`", bullet) == [a.value for a in Activation]

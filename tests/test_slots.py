@@ -147,7 +147,7 @@ def check_against_train(jobs, spec, slots):
 @pytest.mark.parametrize("rule", Rule)
 def test_slots_match_train_run_by_run(rule, activation, depth):
     rng = np.random.default_rng(sum(map(ord, rule.value + activation.value + depth)))
-    arch = Architecture(4, DEPTHS[depth], activation, Activation.IDENTITY)
+    arch = Architecture(4, DEPTHS[depth], activation)
     jobs = make_jobs(arch, rng, count=14 if depth == "shallow" else 8)
     spec = OptimizerSpec(rule=rule, stepmax=120 if depth == "shallow" else 60,
                          grad_threshold=0.02)
@@ -160,14 +160,14 @@ def test_slots_match_train_run_by_run(rule, activation, depth):
 
 @pytest.mark.parametrize("slots", sorted({1, 2, 3, 6, SLOTS, 20}))
 def test_slot_count_does_not_change_outcomes(slots):
-    arch = Architecture(3, (6, 4), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(3, (6, 4), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(slots), count=12, n=30)
     check_against_train(jobs, OptimizerSpec(stepmax=200), slots=slots)
 
 
 def test_every_study_loss_side_by_side():
     # the six study losses and fixed Huber, all in the slots at once
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(5), count=len(STUDY_LOSSES))
     jobs = [dataclasses.replace(job, loss=loss) for job, loss in zip(jobs, STUDY_LOSSES)]
     check_against_train(jobs, OptimizerSpec(stepmax=150), slots=len(jobs))
@@ -177,7 +177,7 @@ def test_a_trimmed_run_refilled_between_untrimmed_ones():
     # slots 0 and 2 train squared and Huber runs; slot 1's run diverges at
     # epoch 1 and a trimmed run takes its place, where it stays: the
     # squared, trimmed and Huber groups each sum their own slots' gradients
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(21), count=6)
     losses = [L.LossSpec.squared(), L.LossSpec.squared(), L.LossSpec.huber(),
               L.LossSpec.trimmed(0.25), L.LossSpec.trimmed(0.1)]
@@ -197,7 +197,7 @@ def test_a_refill_with_the_loss_it_replaces_moves_nothing(monkeypatch):
     # train first both diverge at epoch 1, and the Huber run is replaced
     # first, so it must go to the slot the Huber run left, not to the first
     # free one.
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     losses = [L.LossSpec.squared(), L.LossSpec.huber(), L.LossSpec.trimmed(0.25)]
     jobs = make_jobs(arch, np.random.default_rng(23), count=18)
     order = [1, 7, 0] + [k for k in range(18) if k not in (0, 1, 7)]  # 1 and 7 diverge
@@ -246,7 +246,7 @@ def test_a_refill_with_the_loss_it_replaces_moves_nothing(monkeypatch):
 
 
 def test_rejected_jobs_are_yielded_and_the_rest_train_on():
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(9), count=5)
     other_shape = TrainJob(init_weights(Architecture(4, (3,)), np.random.default_rng(1)),
                            jobs[0].data, L.LossSpec.squared(), tag=(5, dict))
@@ -262,7 +262,7 @@ def test_rejected_jobs_are_yielded_and_the_rest_train_on():
 
 
 def test_a_failing_callback_ends_only_its_own_run():
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(13), count=4)
 
     def boom(epoch, predictions, losses, y):
@@ -281,7 +281,7 @@ def test_a_failing_callback_ends_only_its_own_run():
 
 
 def test_jobs_are_drawn_only_when_a_slot_is_free():
-    arch = Architecture(4, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(4, (10, 10), Activation.LOGISTIC)
     jobs = make_jobs(arch, np.random.default_rng(17), count=9)
     drawn = []
 
@@ -299,7 +299,7 @@ def test_jobs_are_drawn_only_when_a_slot_is_free():
 def test_each_outcome_owns_its_final_network():
     # one slot, refilled by each run after the first: every outcome keeps
     # its parameters when the slot's row is overwritten
-    arch = Architecture(2, (3,), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(2, (3,), Activation.LOGISTIC)
     rng = np.random.default_rng(21)
     X = rng.standard_normal((20, 2))
     jobs = [TrainJob(init_weights(arch, rng), (X, np.sin(k * X[:, 0])), L.LossSpec.squared())

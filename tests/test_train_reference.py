@@ -83,7 +83,7 @@ def run_both(net, data, loss, spec, diverge_norm=1e8, make_kwargs=dict):
     list(itertools.product(LOSSES, Rule, (Activation.LOGISTIC, Activation.SOFTPLUS), DEPTHS)))
 def test_outcome_is_bit_identical_to_reference(loss_name, rule, activation, depth):
     X, y = contaminated_data(3)
-    arch = Architecture(5, DEPTHS[depth], activation, Activation.IDENTITY)
+    arch = Architecture(5, DEPTHS[depth], activation)
     net = init_weights(arch, np.random.default_rng(17))
     spec = OptimizerSpec(rule=rule, stepmax=150, grad_threshold=1e-3)
     run_both(net, (X, y), LOSSES[loss_name], spec,
@@ -94,7 +94,7 @@ def test_outcome_is_bit_identical_to_reference(loss_name, rule, activation, dept
 def test_converging_runs_match(loss_name):
     X, y = contaminated_data(5)
     y = (y - y.mean()) / y.std()
-    arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(5, (10, 10), Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(23))
     out = run_both(net, (X, y), LOSSES[loss_name], OptimizerSpec(stepmax=20_000))
     assert out.status == TrainStatus.CONVERGED
@@ -110,7 +110,7 @@ def test_grad_transform_matches(in_place):
             return g
         return 3.7 * g
 
-    arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(5, (10, 10), Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(29))
     run_both(net, (X, y), L.LossSpec.trimmed(0.25), OptimizerSpec(stepmax=200),
              make_kwargs=lambda: dict(record_norms=True, grad_transform=scale))
@@ -120,7 +120,7 @@ def test_grad_transform_matches(in_place):
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_iterative_attacker_hook_matches(loss_name, depth):
     X, y = contaminated_data(11)
-    arch = Architecture(5, DEPTHS[depth], Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(5, DEPTHS[depth], Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(31))
 
     def kwargs():
@@ -130,16 +130,8 @@ def test_iterative_attacker_hook_matches(loss_name, depth):
     run_both(net, (X, y), LOSSES[loss_name], OptimizerSpec(stepmax=200), make_kwargs=kwargs)
 
 
-@pytest.mark.parametrize("output", [Activation.LOGISTIC, Activation.SOFTPLUS])
-def test_saturating_output_layer_matches(output):
-    X, y = contaminated_data(13)
-    arch = Architecture(5, (10, 10), Activation.SOFTPLUS, output)
-    net = init_weights(arch, np.random.default_rng(41))
-    run_both(net, (X, 1.0 / (1.0 + np.exp(-y))), L.LossSpec.huber(), OptimizerSpec(stepmax=200))
-
-
 def test_overflow_at_the_first_epoch_matches():
-    arch = Architecture(2, (2,), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(2, (2,), Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(4))
     out = run_both(net, (np.zeros((3, 2)), np.full(3, 1e200)), L.LossSpec.squared(),
                    OptimizerSpec(stepmax=10))
@@ -150,7 +142,7 @@ def test_overflow_at_the_first_epoch_matches():
 def test_divergence_mid_run_matches(loss_name):
     # the responses overflow the loss from epoch 41 on
     X, y = contaminated_data(19)
-    arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(5, (10, 10), Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(43))
 
     def blow_up(epoch, predictions, losses, y):
@@ -165,7 +157,7 @@ def test_divergence_mid_run_matches(loss_name):
 
 def test_breakdown_by_norm_matches():
     X, y = contaminated_data(23)
-    arch = Architecture(5, (10, 10), Activation.LOGISTIC, Activation.IDENTITY)
+    arch = Architecture(5, (10, 10), Activation.LOGISTIC)
     net = init_weights(arch, np.random.default_rng(47))
     n0 = float(np.linalg.norm(net.params))
     out = run_both(net, (X, 1e6 * y), L.LossSpec.squared(),
@@ -173,16 +165,14 @@ def test_breakdown_by_norm_matches():
     assert out.breakdown and out.status == TrainStatus.STEP_LIMIT
 
 
-@pytest.mark.parametrize("hidden,output", [
-    ((10, 10), Activation.IDENTITY), ((5,) * 10, Activation.IDENTITY),
-    ((7,), Activation.LOGISTIC), ((4, 6), Activation.SOFTPLUS)])
+@pytest.mark.parametrize("hidden", [(10, 10), (5,) * 10, (7,), (4, 6)])
 @pytest.mark.parametrize("activation", [Activation.LOGISTIC, Activation.SOFTPLUS])
 @pytest.mark.parametrize("trimmed", [False, True])
-def test_passes_are_bit_identical_to_reference(hidden, output, activation, trimmed):
+def test_passes_are_bit_identical_to_reference(hidden, activation, trimmed):
     # the sign rules hide last-bit gradient differences from trajectories,
     # so the passes are compared on their own
     rng = np.random.default_rng(53)
-    arch = Architecture(6, hidden, activation, output)
+    arch = Architecture(6, hidden, activation)
     net = init_weights(arch, rng)
     X = 3.0 * rng.standard_normal((40, 6))
     dl = rng.standard_normal(40)
