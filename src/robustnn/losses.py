@@ -42,12 +42,18 @@ class LossSpec:
     def __post_init__(self):
         set_members(self, kind=LossKind)
         if self.kind == LossKind.HUBER:
-            if self.huber_delta is not None and not self.huber_delta > 0:
-                raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
+            if self.huber_delta is not None:
+                if not self.huber_delta > 0:
+                    raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
+                if not math.isfinite(self.huber_delta):
+                    raise ValueError(f"huber_delta must be finite, got {self.huber_delta}")
         elif self.huber_delta is not None:
             raise ValueError("huber_delta only applies to the Huber loss")
-        if self.kind == LossKind.TUKEY and not self.tukey_k > 0:
-            raise ValueError(f"tukey_k must be positive, got {self.tukey_k}")
+        if self.kind == LossKind.TUKEY:
+            if not self.tukey_k > 0:
+                raise ValueError(f"tukey_k must be positive, got {self.tukey_k}")
+            if not math.isfinite(self.tukey_k):
+                raise ValueError(f"tukey_k must be finite, got {self.tukey_k}")
         if self.kind == LossKind.TRIMMED_SQUARED:
             if self.trim_alpha is None or not 0.0 < self.trim_alpha < 1.0:
                 raise ValueError("trim_alpha must lie in (0, 1)")

@@ -235,28 +235,27 @@ def _gradient_sum(steps, d_weights, d_intercepts) -> int:
 
 
 class BatchKernel:
-    """Forward pass, error terms and gradient sums of B networks of one
-    architecture side by side, each over its own input matrix, computed
-    into (B, n, width) arrays allocated once.
+    """Forward pass and error terms of B networks of one architecture side
+    by side, each over its own input matrix, computed into (B, n, width)
+    arrays allocated once.
 
     net is a stacked network over a (B, P) parameter buffer, whose weights
     and intercepts carry a leading slot axis of length B, and X is a
     C-contiguous (B, n, p) array. The kernel keeps references to these
     arrays, so the caller can move the parameters in place and write a new
     run's inputs into a slot between passes. Every pass runs on the first
-    `live` slots only (a gradient sum on as many as its output arrays hold,
-    from a given slot on, so each loss group of train_slots sums its own),
-    with one stacked np.matmul per layer, whose slices are the matrix
-    products of one run. train_slots runs every epoch through one kernel,
-    and a converged run's test predictions go through a one-slot kernel
-    over a (1, n_test, p) input: in production no other object builds
-    forward arrays. forward_batch, batch_deltas and mean_gradient_vector,
-    which only tests and perfbench call, run the same passes once on
-    arrays of their own.
+    `live` slots only, with one stacked np.matmul per layer, whose slices
+    are the matrix products of one run. train_slots runs every epoch
+    through one kernel, and a converged run's test predictions go through a
+    one-slot kernel over a (1, n_test, p) input: in production no other
+    object builds forward arrays. forward_batch, batch_deltas and
+    mean_gradient_vector, which only tests and perfbench call, run the same
+    passes once on arrays of their own.
 
     predictions and output_error are (live, n) views of the output layer's
     activation and delta: write dL/dyhat into output_error before
-    backward().
+    backward(). deltas and acts hold every slot's error terms and layer
+    inputs, from which each loss group of train_slots sums its gradient.
     """
 
     def __init__(self, net: Network, X: np.ndarray):
@@ -264,11 +263,6 @@ class BatchKernel:
         self.pre, self.acts = _forward_arrays(net.architecture, X)
         self.deltas = [np.empty_like(a) for a in self.pre]
         self._scratch = [np.empty_like(a) for a in self.pre[:-1]]
-        self._delta_rows = [d.reshape(-1, d.shape[-1]) for d in self.deltas]
-        self._input_rows = [z.reshape(-1, z.shape[-1]) for z in self.acts[:-1]]
-        self._sums: dict[tuple, list] = {}
-        self._gather_buffers: dict[int, list] = {}
-        self._gathered: dict[tuple, list] = {}
         self.set_live(X.shape[0])
 
     def set_live(self, live: int) -> None:
@@ -293,43 +287,6 @@ class BatchKernel:
         """Turn dL/dyhat in output_error into the error terms of every layer."""
         _run_backward(self._backward)
         return self._deltas
-
-    def gradient_sum(self, d_weights, d_intercepts, kept=None, start=0) -> int:
-        """Per slot of the k from start on, the sum of per-instance
-        gradients over all rows into the given (k, ...) per-layer arrays;
-        returns the row count.
-
-        kept, a (G, h) array of rows b*n + i (row i of slot b), sums G
-        slots' kept rows instead, into (G, ...) arrays; start is then unused.
-        """
-        if kept is None:
-            key = start, d_intercepts[0].shape[0]
-            steps = self._sums.get(key)
-            if steps is None:
-                end = start + key[1]
-                steps = self._sums[key] = _sum_steps([d[start:end] for d in self.deltas],
-                                                     [z[start:end] for z in self.acts[:-1]])
-            return _gradient_sum(steps, d_weights, d_intercepts)
-        # The kept rows are gathered into arrays allocated once, per trim
-        # count h for every slot, of which G slots use the first G: a fresh
-        # gather each epoch costs page faults at large n. The rows are in
-        # range, and mode="clip" writes straight into out, which the
-        # default mode would buffer.
-        steps = self._gathered.get(kept.shape)
-        if steps is None:
-            g, h = kept.shape
-            layers = len(self._delta_rows)
-            full = self._gather_buffers.get(h)
-            if full is None:
-                full = self._gather_buffers[h] = [
-                    np.empty((self.X.shape[0], h, a.shape[-1]))
-                    for a in self._delta_rows + self._input_rows]
-            steps = self._gathered[kept.shape] = _sum_steps(
-                [a[:g] for a in full[:layers]], [a[:g] for a in full[layers:]])
-        for (d, _, z, _), d_rows, z_rows in zip(steps, self._delta_rows, self._input_rows):
-            d_rows.take(kept, axis=0, out=d, mode="clip")
-            z_rows.take(kept, axis=0, out=z, mode="clip")
-        return _gradient_sum(steps, d_weights, d_intercepts)
 
 
 def forward_batch(net: Network, X) -> BatchTrace:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses as L
 from ._spec import set_integers, set_members
-from .net import BatchKernel, Network, count_parameters
+from .net import BatchKernel, Network, _gradient_sum, _sum_steps, count_parameters
 
 DEFAULT_DIVERGE_NORM = 1e8
 STEPMAX_SHALLOW = 100_000
@@ -66,6 +66,8 @@ class OptimizerSpec:
             raise ValueError(f"stepmax must be positive, got {self.stepmax}")
         if not self.grad_threshold > 0:
             raise ValueError(f"grad_threshold must be positive, got {self.grad_threshold}")
+        if not math.isfinite(self.grad_threshold):
+            raise ValueError(f"grad_threshold must be finite, got {self.grad_threshold}")
 
 
 @dataclass
@@ -222,11 +224,25 @@ class _LossGroup:
         self.kth = L._median_kth(n)
         self.abs_r = np.empty((count, n)) if self.adaptive else None
         self.h = L.trim_count(n, spec.trim_alpha) if spec.is_trimmed else None
-        # a row of the group's losses -> that row in the kernel's (B*n) rows
-        self.row_shift = start * n
-        self.r, self.error = batch.r[start:end], batch.kernel.deltas[-1][start:end, :, 0]
+        deltas = [d[start:end] for d in batch.kernel.deltas]
+        inputs = [z[start:end] for z in batch.kernel.acts[:-1]]
+        self.r, self.error = batch.r[start:end], deltas[-1][..., 0]
         self.grad = Network(batch.arch, batch.grad[start:end])
         self.per = self.delta = self.kept = None
+        # (source, out) per layer's error terms and inputs: the group's rows,
+        # and the array its kept rows are gathered into
+        self.gather = []
+        if self.h is not None:
+            # The kept rows are gathered into arrays allocated once: a fresh
+            # gather each epoch costs page faults at large n. np.empty
+            # touches no page before the first gather, and by then arrange
+            # has dropped the groups this one replaced. The kernel's arrays
+            # are C-contiguous, so the sources are views of them.
+            sources = [a.reshape(-1, a.shape[-1]) for a in deltas + inputs]
+            deltas, inputs = ([np.empty((count, self.h, a.shape[-1])) for a in arrays]
+                              for arrays in (deltas, inputs))
+            self.gather = list(zip(sources, deltas + inputs))
+        self.sum_steps = _sum_steps(deltas, inputs)
 
     def losses(self) -> list[float]:
         """Per-instance losses and dL/dyhat of the group's runs, and their
@@ -239,16 +255,19 @@ class _LossGroup:
         if self.h is None:
             sums = np.add.reduce(per, axis=1)
         else:
-            kept = L._trim_rows(per, self.h)
-            self.kept = kept + self.row_shift
+            kept = self.kept = L._trim_rows(per, self.h)
             sums = np.add.reduce(per.take(kept), axis=1)
         np.negative(self.gradient(r, c), out=self.error)
         return sums.tolist()
 
-    def mean_gradient(self, kernel: BatchKernel) -> None:
+    def mean_gradient(self) -> None:
         """Each run's mean gradient over its (kept) rows, after the backward pass."""
+        # the kept rows are in range, and mode="clip" writes straight into
+        # out, which the default mode would buffer
+        for source, out in self.gather:
+            source.take(self.kept, axis=0, out=out, mode="clip")
         grad = self.grad
-        rows = kernel.gradient_sum(grad.weights, grad.intercepts, self.kept, self.start)
+        rows = _gradient_sum(self.sum_steps, grad.weights, grad.intercepts)
         np.divide(grad.params, rows, out=grad.params)
 
 
@@ -401,7 +420,7 @@ class _Slots:
 
             kernel.backward()
             for g in groups:
-                g.mean_gradient(kernel)
+                g.mean_gradient()
             for b, transform in transformed:
                 if b not in ended:
                     try:

@@ -40,6 +40,8 @@ from robustnn.net import (
     Architecture,
     BatchKernel,
     Network,
+    _gradient_sum,
+    _sum_steps,
     batch_deltas,
     count_parameters,
     forward_batch,
@@ -137,8 +139,9 @@ def test_c01_gradient_oracle():
 
                     # over all rows and over a kept subset: the standalone
                     # passes, and the route train runs, a one-slot
-                    # BatchKernel whose gradient sum train divides by the
-                    # row count
+                    # BatchKernel whose error terms and layer inputs a loss
+                    # group sums, its kept rows gathered first, and divides
+                    # by the row count
                     X = np.vstack([x, rng_rows.standard_normal((C01_ROWS - 1, arch.input_dim))])
                     trace = forward_batch(net, X)
                     Y = trace.predictions + off_kink(rng_rows.uniform(-3, 3, C01_ROWS), kink)
@@ -155,8 +158,11 @@ def test_c01_gradient_oracle():
                     for rows in (None, kept):
                         fd = finite_differences(lambda v: mean_loss_at(v, X, Y, rows), p0)
                         assert_matches(mean_gradient_vector(trace, deltas, rows), fd)
-                        count = kernel.gradient_sum(sums.weights, sums.intercepts,
-                                                    None if rows is None else rows[None])
+                        summed = kernel.deltas, kernel.acts[:-1]
+                        if rows is not None:
+                            summed = [[a[:, rows] for a in arrays] for arrays in summed]
+                        count = _gradient_sum(_sum_steps(*summed), sums.weights,
+                                              sums.intercepts)
                         assert count == (C01_ROWS if rows is None else rows.size)
                         assert_matches(grad[0] / count, fd)
                     checked += 1

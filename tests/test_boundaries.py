@@ -11,7 +11,8 @@ to how they are drawn is an edit in one place.
 
 In the trainer, only the loss group knows that a trimmed loss sums and
 averages its kept rows rather than all of them; the slots lay runs out
-without asking which loss trims.
+without asking which loss trims. net.BatchKernel runs the forward and
+backward passes only: each loss group gathers and sums its own rows.
 
 No module reads the environment: a run's settings come from its
 configuration file and the command line, which its outputs follow from."""
@@ -31,6 +32,8 @@ UP_FRONT_KINDS = {"Y_CONVEX", "X_CASEWISE", "XY_CELLWISE"}
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 TRIMMING = {"is_trimmed", "trim_count", "trim_alpha", "_trim_rows"}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
+# what summing, or gathering kept rows, would name
+SUMMING = {"take", "kept", "_sum_steps", "_gradient_sum"}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -84,6 +87,18 @@ def test_the_loss_group_names_the_trimming():
 def test_only_the_loss_group_names_the_trimming():
     _, rest = trainer_parts()
     assert referenced_names(rest) & TRIMMING == set()
+
+
+def test_the_batch_kernel_does_not_sum():
+    tree = ast.parse((PACKAGE / "net.py").read_text(), filename="net.py")
+    (kernel,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "BatchKernel"]
+    assert referenced_names(kernel) & SUMMING == set()
+
+
+def test_the_loss_group_sums():
+    group, _ = trainer_parts()
+    assert SUMMING <= referenced_names(group)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -26,10 +26,20 @@ class TestLossSpecValidation:
         assert L.LossSpec.tukey().tukey_k == 4.685
 
     def test_nan_constants_rejected(self):
-        with pytest.raises(ValueError, match="^huber_delta "):
+        with pytest.raises(ValueError, match="^huber_delta must be positive, got nan$"):
             L.LossSpec.huber(math.nan)
-        with pytest.raises(ValueError, match="^tukey_k "):
+        with pytest.raises(ValueError, match="^tukey_k must be positive, got nan$"):
             L.LossSpec.tukey(math.nan)
+
+    @pytest.mark.parametrize("make,field", [(L.LossSpec.huber, "huber_delta"),
+                                            (L.LossSpec.tukey, "tukey_k")])
+    def test_infinite_constants_rejected(self, make, field):
+        # an infinite Tukey constant gives every residual a loss and a
+        # gradient of 0, and an infinite Huber threshold computes inf - inf
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            make(math.inf)
+        with pytest.raises(ValueError, match=f"^{field} must be positive, got -inf$"):
+            make(-math.inf)
 
 
 class TestLossTokens:

@@ -17,12 +17,21 @@ from robustnn.net import (
     Architecture,
     BatchKernel,
     Network,
+    _gradient_sum,
+    _sum_steps,
     count_parameters,
     forward_batch,
     init_weights,
     predict,
 )
-from robustnn.optimizer import OptimizerSpec, TrainOutcome, TrainStatus, train
+from robustnn.optimizer import (
+    OptimizerSpec,
+    TrainOutcome,
+    TrainStatus,
+    _LossGroup,
+    _Slots,
+    train,
+)
 
 
 def make_arch(p, hidden, hidden_act=Activation.LOGISTIC):
@@ -384,10 +393,10 @@ KERNEL_ARCHS = [make_arch(3, (5,) * 10), make_arch(3, (5,) * 10, Activation.SOFT
 
 
 @st.composite
-def kernel_cases(draw):
-    """Slots, rows, k slots from slot `first` on for the full sum, and a
-    group of adjacent slots with kept-row subsets of one size h, each its
-    own."""
+def group_cases(draw):
+    """Slots, rows, a squared-loss group of k slots from slot `first` on,
+    and a group of `count` slots from `start` on that trims pct percent,
+    with kept rows of its own per slot."""
     arch = draw(st.sampled_from(KERNEL_ARCHS))
     slots = draw(st.integers(1, 5))
     n = draw(st.integers(1, 12))
@@ -395,41 +404,44 @@ def kernel_cases(draw):
     k = draw(st.integers(1, slots - first))
     start = draw(st.integers(0, slots - 1))
     count = draw(st.integers(1, slots - start))
-    h = draw(st.integers(1, n))
+    pct = draw(st.integers(1, 99))
     seed = draw(st.integers(0, 2**32 - 1))
-    return arch, slots, n, first, k, start, count, h, seed
+    return arch, slots, n, first, k, start, count, pct, seed
 
 
-class TestBatchKernelGradientSum:
+class TestLossGroupGradientSum:
     @settings(max_examples=40, deadline=None)
-    @given(case=kernel_cases())
+    @given(case=group_cases())
     def test_sums_equal_the_per_instance_oracle(self, case):
-        arch, slots, n, first, k, start, count, h, seed = case
+        arch, slots, n, first, k, start, count, pct, seed = case
         rng = np.random.default_rng(seed)
-        n_params = count_parameters(arch)[2]
-        params = rng.standard_normal((slots, n_params))
-        X = rng.standard_normal((slots, n, arch.input_dim))
+        batch = _Slots(arch, n, OptimizerSpec(), slots)
+        batch.params[...] = rng.standard_normal(batch.params.shape)
+        batch.X[...] = rng.standard_normal(batch.X.shape)
+        batch.grad[...] = np.nan
         dloss = rng.standard_normal((slots, n))
-        kernel = BatchKernel(Network(arch, params), X)
         with np.errstate(over="ignore"):  # the logistic's exp(-a) may overflow to its limit
-            kernel.forward()
-            kernel.output_error[...] = dloss
-            kernel.backward()
+            batch.kernel.forward()
+            batch.kernel.output_error[...] = dloss
+            batch.kernel.backward()
 
-        full = np.full((k, n_params), np.nan)
-        assert kernel.gradient_sum(*views(arch, full), start=first) == n
+        _LossGroup(batch, L.LossSpec.squared(), first, k).mean_gradient()
+        full = batch.grad[first:first + k].copy()
+        trimmed = _LossGroup(batch, L.LossSpec.trimmed(pct / 100), start, count)
+        h = trimmed.h
         kept = np.sort(np.stack([rng.permutation(n)[:h] for _ in range(count)]), axis=1)
-        trimmed = np.full((count, n_params), np.nan)
-        rows = kept + np.arange(start, start + count)[:, None] * n
-        assert kernel.gradient_sum(*views(arch, trimmed), rows) == h
+        # as losses() leaves them: positions in the group's (count, n) losses
+        trimmed.kept = kept + np.arange(count)[:, None] * n
+        trimmed.mean_gradient()
 
         for got, b, subset in [(full[j], first + j, slice(None)) for j in range(k)] + \
-                [(trimmed[j], start + j, kept[j]) for j in range(count)]:
-            net = Network(arch, params[b])
-            per_instance = backprop(net, X[b], dloss[b])[subset]
-            want = per_instance.sum(axis=0)
+                [(batch.grad[start + j], start + j, kept[j]) for j in range(count)]:
+            net = Network(arch, batch.params[b])
+            per_instance = backprop(net, batch.X[b], dloss[b])[subset]
+            rows = len(per_instance)
+            want = per_instance.sum(axis=0) / rows
             # both sums round each term and partial sum once or so
-            tol = 1e-12 * np.abs(per_instance).sum(axis=0)
+            tol = 1e-12 * np.abs(per_instance).sum(axis=0) / rows
             assert np.all(np.abs(got - want) <= tol), (b, np.abs(got - want).max())
 
 
@@ -473,13 +485,19 @@ class TestInterceptSum:
         group = np.sort(rng.choice(slots, g, replace=False))
         kept = np.sort(np.stack([rng.choice(n, h, replace=False) for _ in group]), axis=1)
         gathered = np.full((g, n_params), 7.0)
+        deltas, inputs = kernel.deltas, kernel.acts[:-1]
+
+        def gather(a):
+            return np.stack([a[b][rows] for b, rows in zip(group, kept)])
+
         with np.errstate(all="ignore"):
-            assert kernel.gradient_sum(*views(arch, full)) == n
-            assert kernel.gradient_sum(*views(arch, gathered), kept + group[:, None] * n) == h
-            for layer, d in enumerate(kernel.deltas):
+            steps = _sum_steps([d[:k] for d in deltas], [z[:k] for z in inputs])
+            assert _gradient_sum(steps, *views(arch, full)) == n
+            steps = _sum_steps([gather(d) for d in deltas], [gather(z) for z in inputs])
+            assert _gradient_sum(steps, *views(arch, gathered)) == h
+            for layer, d in enumerate(deltas):
                 want_full = intercept_sum(d[:k])
-                want_gathered = intercept_sum(
-                    np.stack([d[b][rows] for b, rows in zip(group, kept)]))
+                want_gathered = intercept_sum(gather(d))
                 got_full = Network(arch, full).intercepts[layer]
                 got_gathered = Network(arch, gathered).intercepts[layer]
                 assert canonical_bytes(got_full) == canonical_bytes(want_full), layer

@@ -52,6 +52,11 @@ class TestOptimizerSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} "):
             OptimizerSpec(**{field: math.nan})
 
+    def test_infinite_grad_threshold_rejected(self):
+        # every run would converge at its first epoch
+        with pytest.raises(ValueError, match="^grad_threshold must be finite, got inf$"):
+            OptimizerSpec(grad_threshold=math.inf)
+
     @pytest.mark.parametrize("delta_min,delta0", [(0.0, 0.0), (-1.0, -0.5)])
     def test_step_bounds_must_be_positive(self, delta_min, delta0):
         # a zero step never moves; a negative one climbs the loss

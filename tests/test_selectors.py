@@ -154,6 +154,6 @@ def test_a_loss_group_computes_what_the_loss_functions_compute(r, loss, epochs):
                     canonical_bytes(-L.loss_gradient(loss, row, delta))
                 if loss.is_trimmed:
                     kept = L.trimmed_select(per, loss.trim_alpha).kept_indices
-                    np.testing.assert_array_equal(group.kept[j], kept + (1 + j) * n)
+                    np.testing.assert_array_equal(group.kept[j], kept + j * n)
                     per = per[kept]
                 assert canonical_bytes(sums[j]) == canonical_bytes(np.add.reduce(per))
