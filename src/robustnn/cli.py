@@ -36,7 +36,7 @@ from .experiment import (
     summarize,
 )
 from .losses import LossSpec
-from .optimizer import OptimizerSpec
+from .optimizer import OptimizerSpec, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -452,7 +452,9 @@ def cmd_probe(config_path, seed_override: int | None = None,
         prep = exp.prepare_run(cfg, 0)
         n0 = float(np.linalg.norm(prep.net.params))
         print(f"config {cfg.config_id}: initial weight norm {n0:.6g}")
-        outcome = exp.train_run(prep, record_norms=True)
+        outcome = train(prep.net, prep.scenario.train, cfg.loss, cfg.resolved_optimizer(),
+                        cfg.diverge_norm, record_norms=True,
+                        epoch_end_hook=prep.scenario.hook)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

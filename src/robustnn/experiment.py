@@ -21,7 +21,6 @@ from .contamination import (
 from .datagen import (
     DataGenSpec,
     Dataset,
-    DegenerateStandardizationError,
     fit_standardizer,
     generate_dataset,
 )
@@ -241,11 +240,11 @@ class PreparedRun:
     scenario: PreparedScenario
     net: Network            # initial network
 
-    def job(self, *, record_norms: bool = False, tag=None) -> TrainJob:
+    def job(self, tag) -> TrainJob:
         """The run's training job: its initial network, training set, loss,
         divergence level and attacker."""
         return TrainJob(self.net, self.scenario.train, self.cfg.loss, self.cfg.diverge_norm,
-                        record_norms, epoch_end_hook=self.scenario.hook, tag=tag)
+                        epoch_end_hook=self.scenario.hook, tag=tag)
 
 
 def prepare_scenario(cfg: ExperimentConfig, rep: int) -> PreparedScenario:
@@ -305,16 +304,6 @@ def prepare_run(cfg: ExperimentConfig, rep: int) -> PreparedRun:
     return _prepare_net(cfg, rep, prepare_scenario(cfg, rep))
 
 
-def train_run(prep: PreparedRun, *, record_norms: bool = False) -> TrainOutcome:
-    """Train a prepared replication's job alone, as train does, with its
-    configured optimizer; raises what train raises."""
-    (_, outcome), = train_slots([prep.job(record_norms=record_norms)],
-                                prep.cfg.resolved_optimizer(), slots=1)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
     return RunRecord(
         **vars(cfg.cell),
@@ -328,14 +317,6 @@ def _error_record(cfg: ExperimentConfig, rep: int, error: str) -> RunRecord:
         breakdown=False,
         error=error,
     )
-
-
-def _error_text(exc: Exception) -> str:
-    """A failed run's error text: the message of the failures run_single
-    records, the exception type and message of anything else."""
-    if isinstance(exc, (DegenerateStandardizationError, HeldOutSetModifiedError)):
-        return str(exc)
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _record(prep: PreparedRun, outcome: TrainOutcome, kernels: dict) -> RunRecord:
@@ -379,31 +360,19 @@ def _record(prep: PreparedRun, outcome: TrainOutcome, kernels: dict) -> RunRecor
     )
 
 
-def run_single(cfg: ExperimentConfig, rep: int) -> RunRecord:
-    """Run one replication of one configuration.
-
-    A run whose test set changed, or whose responses cannot be
-    standardized, is recorded as an error.
-    """
-    try:
-        prep = prepare_run(cfg, rep)
-        return _record(prep, train_run(prep), {})
-    except (DegenerateStandardizationError, HeldOutSetModifiedError) as exc:
-        return _error_record(cfg, rep, str(exc))
-
-
 def _run_queue(tasks: list[tuple[ExperimentConfig, int]]) -> list[RunRecord]:
     """Train a queue of same-shape (configuration, replication) tasks side
     by side, preparing each run when a slot is free for it; one record per
-    task, each equal to run_single's record of it. The runs of one scenario
-    replication share its preparation, which is held until the queue moves
-    on to another scenario. A run that fails is recorded as an error and
-    the rest of the queue trains on."""
+    task, each equal to the record of training that run alone. The runs of
+    one scenario replication share its preparation, which is held until the
+    queue moves on to another scenario. A run that fails is recorded as an
+    error, with its exception's type and message, and the rest of the queue
+    trains on."""
     records: dict[int, RunRecord] = {}
 
     def fail(i: int, exc: Exception) -> None:
         cfg, rep = tasks[i]
-        records[i] = _error_record(cfg, rep, _error_text(exc))
+        records[i] = _error_record(cfg, rep, f"{type(exc).__name__}: {exc}")
 
     def jobs():
         held: dict[int, PreparedScenario] = {}  # the current scenario's, by replication
@@ -467,10 +436,10 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
     """Execute every (configuration, replication) pair.
 
     Runs of one shape train side by side (see _run_queue), each one's
-    record equal to run_single's. The output is sorted by (config_id, rep),
-    so the result is independent of scheduling and of the degree of
-    parallelism. Two configurations with one config_id are a ValueError
-    (see check_unique_ids).
+    record equal to the record of training that run alone. The output is
+    sorted by (config_id, rep), so the result is independent of scheduling
+    and of the degree of parallelism. Two configurations with one
+    config_id are a ValueError (see check_unique_ids).
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")

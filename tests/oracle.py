@@ -11,6 +11,9 @@ summation order of an intercept gradient, spelled out. rprop_plus_reference
 is Rprop+ one parameter at a time, for tests of that update rule itself.
 iterative_attacker_step is one epoch of the adaptive attacker as a plain
 function of the epoch's predictions and losses, for tests of its hook.
+record_alone is the record of one run trained alone through train, written
+apart from the sweep's queue, for tests that run_sweep's records are those
+of each run alone.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from robustnn import experiment as E
 from robustnn import losses as L
 from robustnn.contamination import _attack_offset
-from robustnn.net import Network, batch_deltas, forward_batch
-from robustnn.optimizer import OptimizerSpec, Rule, _in_place_update
+from robustnn.net import Network, batch_deltas, forward_batch, predict
+from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, _in_place_update, train
 
 
 def flatten(net: Network) -> np.ndarray:
@@ -186,3 +190,39 @@ def iterative_attacker_step(predictions, current_losses, attacked_indices,
     predictions = np.asarray(predictions, dtype=np.float64)
     attacked = np.asarray(sorted(attacked_indices), dtype=np.intp)
     return predictions[attacked] + _attack_offset(current_losses, eps)
+
+
+def record_alone(cfg: E.ExperimentConfig, rep: int) -> E.RunRecord:
+    """The record of replication rep of cfg trained alone: prepare_run, then
+    train with the run's network, training set, loss, optimizer, divergence
+    level and attacker; a converged run's test loss is the mean squared
+    error of net.predict on the test inputs against the test responses on
+    the training responses' scale. A test set that changed while the run
+    trained, or any exception, gives the error record with the exception's
+    type and message."""
+    try:
+        prep = E.prepare_run(cfg, rep)
+        scenario = prep.scenario
+        outcome = train(prep.net, scenario.train, cfg.loss, cfg.resolved_optimizer(),
+                        cfg.diverge_norm, epoch_end_hook=scenario.hook)
+        converged = outcome.status == TrainStatus.CONVERGED
+        test_loss = None
+        if converged:
+            with np.errstate(over="ignore", invalid="ignore"):
+                preds = predict(outcome.final_net, scenario.test.X)
+                test_loss = float(np.mean((preds - scenario.y_test) ** 2))
+        if E._fingerprint(scenario.test) != scenario.test_fingerprint:
+            raise E.HeldOutSetModifiedError("test set was modified during the run")
+        return E.RunRecord(
+            **vars(cfg.cell),
+            rep=rep,
+            seed=prep.seed,
+            converged=converged,
+            status=outcome.status.value,
+            epochs=outcome.epochs_used,
+            test_loss=test_loss,
+            sup_weight_norm=outcome.sup_weight_norm,
+            breakdown=outcome.breakdown,
+        )
+    except Exception as exc:
+        return E._error_record(cfg, rep, f"{type(exc).__name__}: {exc}")

@@ -32,7 +32,6 @@ from robustnn.experiment import (
     prepare_scenario,
     run_sweep,
     summarize,
-    train_run,
     _data_key,
 )
 from robustnn.net import (
@@ -382,7 +381,8 @@ def test_c09_contamination_counts_and_test_set_integrity():
         clean = dataclasses.replace(cfg, contamination=ContaminationSpec(ContaminationKind.NONE))
         for rep in range(3):
             prep = prepare_run(cfg, rep)
-            train_run(prep)
+            train(prep.net, prep.scenario.train, cfg.loss, cfg.resolved_optimizer(),
+                  cfg.diverge_norm, epoch_end_hook=prep.scenario.hook)
             rng = np.random.default_rng(derive_seed("data", 17, _data_key(cfg.data), rep))
             regenerated = generate_dataset(cfg.data, rng)[1]
             clean_scenario = prepare_scenario(clean, rep)

@@ -1,4 +1,4 @@
-"""Four boundaries inside the package.
+"""Five boundaries inside the package.
 
 The standalone route stays out of production: of the package's modules,
 only net.py and losses.py, which define it, name its functions. The
@@ -15,7 +15,12 @@ without asking which loss trims. net.BatchKernel runs the forward and
 backward passes only: each loss group gathers and sums its own rows.
 
 No module reads the environment: a run's settings come from its
-configuration file and the command line, which its outputs follow from."""
+configuration file and the command line, which its outputs follow from.
+
+The package trains a run alone in one place: optimizer.train is the one
+caller that sets train_slots' slot count. run and probe both train
+through train_slots, run through its sweep queues and probe through
+train."""
 
 import ast
 from pathlib import Path
@@ -105,3 +110,23 @@ def test_the_loss_group_sums():
 def test_no_module_reads_the_environment(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert referenced_names(tree) & ENVIRONMENT == set()
+
+
+def slot_count_callers(tree: ast.Module) -> list[str | None]:
+    """The top-level definition around each call of train_slots that sets
+    its slot count, by keyword or as the third argument; None for a call
+    outside any definition."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and "train_slots" in referenced_names(node.func)
+                    and (len(node.args) > 2 or any(k.arg == "slots" for k in node.keywords))):
+                found.append(getattr(top, "name", None))
+    return found
+
+
+def test_the_package_trains_a_run_alone_in_one_place():
+    found = [(module, name) for module in MODULES
+             for name in slot_count_callers(ast.parse((PACKAGE / module).read_text(),
+                                                      filename=module))]
+    assert found == [("optimizer.py", "train")]

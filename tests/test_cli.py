@@ -12,7 +12,7 @@ from robustnn.barchart import BarEntry, render_bar_chart
 from robustnn import experiment as exp
 from robustnn.contamination import ContaminationKind, ContaminationSpec
 from robustnn.datagen import DataGenSpec
-from robustnn.experiment import ExperimentConfig, RunRecord, run_single, run_sweep
+from robustnn.experiment import ExperimentConfig, RunRecord, run_sweep
 from robustnn.losses import LossSpec
 from robustnn.net import Activation
 
@@ -556,19 +556,26 @@ class TestCmdDatagenAndProbe:
         assert "||w||" in out
         assert "status=" in out
 
-    @pytest.mark.parametrize("contamination", [
-        {"kind": "y-iterative", "r": 0.5, "mu_out": 1.0},
-        {"kind": "y-convex", "r": 0.1, "mu_out": 100},
+    @pytest.mark.parametrize("overrides", [
+        dict(standardize=False, contamination={"kind": "y-iterative", "r": 0.5, "mu_out": 1.0},
+             optimizer={"rule": "sign-gd", "stepmax": 300}),
+        dict(standardize=False, contamination={"kind": "y-convex", "r": 0.1, "mu_out": 100},
+             optimizer={"rule": "sign-gd", "stepmax": 300}),
+        dict(standardize=True, contamination={"kind": "x-casewise", "r": 0.25, "mu_out": 100},
+             activation="softplus", losses=["trim25"],
+             optimizer={"rule": "rprop-plus", "stepmax": 500}),
     ])
-    def test_probe_trains_the_run_of_rep_zero(self, tmp_path, capsys, contamination):
-        doc = base_doc(standardize=False, contamination=contamination, replications=1,
-                       optimizer={"rule": "sign-gd", "stepmax": 300})
-        path = write_config(tmp_path, doc)
+    def test_probe_trains_the_run_of_rep_zero(self, tmp_path, capsys, overrides):
+        # the probe's final line matches the run's row in run's results.csv
+        path = write_config(tmp_path, base_doc(replications=1, **overrides))
         assert cli.cmd_probe(path) == 0
-        final = capsys.readouterr().out.splitlines()[-1]
-        rec = run_single(cli.parse_config(path)[0], 0)
-        assert final.startswith(f"status={rec.status} epochs={rec.epochs} "
-                                f"sup_norm={rec.sup_weight_norm:.6g} ")
+        out = capsys.readouterr().out.splitlines()
+        assert cli.cmd_run(path, tmp_path / "out") == 0
+        header, line = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["rep"] == "0" and out[0].startswith(f"config {row['config_id']}: ")
+        assert out[-1].startswith(f"status={row['status']} epochs={row['epochs']} "
+                                  f"sup_norm={float(row['sup_weight_norm']):.6g} ")
 
     @pytest.mark.parametrize("overrides", [
         {"data": {"p": 3, "n_train": 1, "n_test": 12}},  # one response to standardize

@@ -156,21 +156,19 @@ class TestSeedDerivation:
                 != E.derive_seed("init", b.base_seed, b.config_id, 0))
 
 
-class TestRunSingle:
+class TestRecord:
     def test_deterministic_record(self):
         cfg = small_config()
-        a = E.run_single(cfg, 0)
-        b = E.run_single(cfg, 0)
-        assert a == b
+        assert E.run_sweep([cfg]) == E.run_sweep([cfg])
 
     def test_converged_run_on_easy_data(self):
         # closed-form bound: a useful fit beats the constant predictor,
         # whose loss is the variance of the standardized test responses
         cfg = dataclasses.replace(
-            small_config(stepmax=100_000),
+            small_config(stepmax=100_000, replications=1),
             data=DataGenSpec(p=3, n_train=80, n_test=40, snr=50.0,
                              structure=Structure.LIN))
-        rec = E.run_single(cfg, 0)
+        rec, = E.run_sweep([cfg])
         assert rec.converged and rec.status == "converged"
         assert rec.test_loss is not None and math.isfinite(rec.test_loss)
         from robustnn.datagen import fit_standardizer, generate_dataset
@@ -182,8 +180,7 @@ class TestRunSingle:
         assert rec.test_loss <= bound
 
     def test_nonconverged_run_has_no_test_loss(self):
-        cfg = small_config(stepmax=2)
-        rec = E.run_single(cfg, 0)
+        rec, = E.run_sweep([small_config(stepmax=2, replications=1)])
         assert rec.status == "step-limit"
         assert rec.test_loss is None
         assert not rec.test_loss_finite
@@ -192,44 +189,45 @@ class TestRunSingle:
     def test_shared_data_same_initial_contamination_across_losses(self):
         # records of different losses in one scenario share seeds for data
         # and contamination, so their per-rep seeds only differ via init
-        a = E.run_single(small_config(loss=LossSpec.squared()), 1)
-        b = E.run_single(small_config(loss=LossSpec.huber()), 1)
+        records = E.run_sweep([small_config(loss=LossSpec.squared()),
+                               small_config(loss=LossSpec.huber())])
+        a, b = [rec for rec in records if rec.rep == 1]
         assert a.config_id != b.config_id
         assert a.seed != b.seed
 
     @pytest.mark.parametrize("rep", [1, -1])
     def test_rep_bound_checked(self, rep):
         with pytest.raises(ValueError, match=r"^rep must lie in \[0, 1\)"):
-            E.run_single(small_config(replications=1), rep)
+            E.prepare_run(small_config(replications=1), rep)
 
     def test_modified_test_set_is_recorded_as_error(self, monkeypatch):
         # the check is an explicit raise, so it also holds under python -O
-        prepare_run, prepared = E.prepare_run, []
+        prepare_scenario, prepared = E.prepare_scenario, []
 
-        def recording_prepare_run(cfg, rep):
-            prepared.append(prepare_run(cfg, rep))
+        def recording_prepare_scenario(cfg, rep):
+            prepared.append(prepare_scenario(cfg, rep))
             return prepared[-1]
 
         class TamperingKernel(E.BatchKernel):
             """Writes into the run's test set while predicting it."""
 
             def forward(self):
-                prepared[-1].scenario.test.X[0, 0] += 1.0
+                prepared[-1].test.X[0, 0] += 1.0
                 return super().forward()
 
-        monkeypatch.setattr(E, "prepare_run", recording_prepare_run)
+        monkeypatch.setattr(E, "prepare_scenario", recording_prepare_scenario)
         monkeypatch.setattr(E, "BatchKernel", TamperingKernel)
-        rec = E.run_single(small_config(stepmax=100_000), 0)
+        rec, = E.run_sweep([small_config(stepmax=100_000, replications=1)])
         assert rec.status == E.STATUS_ERROR
         assert not rec.converged and rec.test_loss is None
-        assert rec.error == "test set was modified during the run"
+        assert rec.error == "HeldOutSetModifiedError: test set was modified during the run"
 
     def test_y_iterative_runs_through(self):
         cfg = small_config(kind=ContaminationKind.Y_ITERATIVE, r=0.5,
                            mu_out=1.0, stepmax=50)
-        rec = E.run_single(cfg, 0)
-        assert rec.status in ("converged", "step-limit", "diverged")
-        assert rec.epochs <= 50
+        for rec in E.run_sweep([cfg]):
+            assert rec.status in ("converged", "step-limit", "diverged")
+            assert rec.epochs <= 50
 
 
 class TestRunSweep:

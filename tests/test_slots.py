@@ -1,7 +1,8 @@
 """train_slots against train: runs trained side by side, with slots
 refilled as runs end and drained at the end, must each come out bit for bit
 as train gives them alone. run_sweep, which trains its queues through
-train_slots, must give run_single's records."""
+train_slots, must give the record of each run trained alone, as
+oracle.record_alone makes it apart from the queue."""
 
 import collections
 import concurrent.futures
@@ -10,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracle import record_alone
 
 from robustnn import experiment as E
 from robustnn import losses as L
@@ -338,18 +340,10 @@ def fields(rec):
             for k, v in dataclasses.asdict(rec).items()}
 
 
-def reference_record(cfg, rep):
-    """run_single's record, or the error record of what it raises."""
-    try:
-        return E.run_single(cfg, rep)
-    except Exception as exc:
-        return E._error_record(cfg, rep, f"{type(exc).__name__}: {exc}")
-
-
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_sweep_equals_run_single(parallelism):
+def test_sweep_equals_each_run_alone(parallelism):
     cfgs = sweep_configs()
-    want = [reference_record(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    want = [record_alone(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
     want.sort(key=lambda rec: (rec.config_id, rec.rep))
     got = E.run_sweep(cfgs, parallelism=parallelism)
     assert [fields(rec) for rec in got] == [fields(rec) for rec in want]
@@ -370,7 +364,7 @@ def test_a_queue_predicts_test_sets_of_two_shapes(monkeypatch):
             for loss in STUDY_LOSSES[:3]]
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
     assert len(E._queues(tasks, 1)) == 1
-    want = sorted((reference_record(cfg, rep) for cfg, rep in tasks),
+    want = sorted((record_alone(cfg, rep) for cfg, rep in tasks),
                   key=lambda rec: (rec.config_id, rec.rep))
     made = []
 
@@ -482,8 +476,8 @@ def test_a_queue_prepares_each_scenario_replication_once(monkeypatch):
     assert len(prepared) == len(tasks) - 6
     for cfg, rep, prep in prepared:
         assert_same_preparation(prep, E.prepare_run(cfg, rep))
-    # records, error texts included, are run_single's
-    want = [reference_record(cfg, rep) for cfg, rep in tasks]
+    # records, error texts included, are those of each run alone
+    want = [record_alone(cfg, rep) for cfg, rep in tasks]
     key = lambda rec: (rec.config_id, rec.rep)  # noqa: E731
     assert [fields(r) for r in sorted(records, key=key)] == [fields(r) for r in sorted(want, key=key)]
     assert [r.error for r in records if r.status == E.STATUS_ERROR] == \
