@@ -41,8 +41,7 @@ def _axis_bounds(values: list[float]) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def render_bar_chart(title: str, entries: list[BarEntry],
-                     y_label: str = "mean finite test loss") -> str:
+def render_bar_chart(title: str, entries: list[BarEntry]) -> str:
     """Render one grouped chart as an SVG document string."""
     chart_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     chart_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -57,7 +56,7 @@ def render_bar_chart(title: str, entries: list[BarEntry],
         f'fill="#222">{escape(title, quote=False)}</text>',
         f'<text x="20" y="{MARGIN_TOP + chart_h / 2:.1f}" text-anchor="middle" '
         f'font-size="12" fill="#555" '
-        f'transform="rotate(-90 20 {MARGIN_TOP + chart_h / 2:.1f})">{escape(y_label, quote=False)} (log scale)</text>',
+        f'transform="rotate(-90 20 {MARGIN_TOP + chart_h / 2:.1f})">mean finite test loss (log scale)</text>',
         f'<line x1="{MARGIN_LEFT}" y1="{baseline}" x2="{WIDTH - MARGIN_RIGHT}" '
         f'y2="{baseline}" stroke="#444" stroke-width="1"/>',
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '

@@ -356,9 +356,39 @@ def _scenario_key(row: dict) -> tuple:
             row["mu_out"], row["activation"], row["depth"], row["standardized"])
 
 
+def _charts(rows: list[dict], path) -> dict[str, list[dict]]:
+    """The rows of each scenario's chart, by chart name: the scenarios
+    sorted by their columns, each one's rows in LOSS_ORDER and then by
+    token. A ConfigError names the lines of two rows with one scenario and
+    loss, or the config ids of two scenarios with one chart name."""
+    # each scenario's (line number, row) by loss
+    scenarios: dict[tuple, dict[str, tuple[int, dict]]] = {}
+    for number, row in enumerate(rows, start=2):
+        cells = scenarios.setdefault(_scenario_key(row), {})
+        if row["loss"] in cells:
+            raise ConfigError(f"{path}: lines {cells[row['loss']][0]} and {number} hold "
+                              f"one scenario's {row['loss']!r} cell")
+        cells[row["loss"]] = number, row
+    charts: dict[str, list[dict]] = {}
+    for key in sorted(scenarios):
+        cells = scenarios[key]
+        _, first = next(iter(cells.values()))
+        # the config id without its loss: the configuration's scenario_id
+        slug = first["config_id"].removesuffix(f"_{first['loss']}")
+        if slug in charts:
+            raise ConfigError(f"{path}: config ids {charts[slug][0]['config_id']!r} and "
+                              f"{first['config_id']!r} belong to two scenarios that "
+                              f"would both be charted as chart_{slug}.svg")
+        ordered = [t for t in LOSS_ORDER if t in cells]
+        ordered += [t for t in sorted(cells) if t not in LOSS_ORDER]
+        charts[slug] = [cells[token][1] for token in ordered]
+    return charts
+
+
 def cmd_report(summary_path, out_dir) -> int:
     try:
         rows = read_summary_csv(summary_path)
+        charts = _charts(rows, summary_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -372,42 +402,28 @@ def cmd_report(summary_path, out_dir) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    scenarios: dict[tuple, list[dict]] = {}
-    for row in rows:
-        scenarios.setdefault(_scenario_key(row), []).append(row)
-
-    data_rows = []
     try:
-        for key in sorted(scenarios):
-            group = scenarios[key]
-            by_loss = {row["loss"]: row for row in group}
-            ordered = [t for t in LOSS_ORDER if t in by_loss]
-            ordered += [t for t in sorted(by_loss) if t not in LOSS_ORDER]
+        for slug, group in charts.items():
             entries = []
-            for token in ordered:
-                row = by_loss[token]
+            for row in group:
                 # no bar for a mean that is absent or not finite
                 value = float(row["mean_finite_test_loss"] or "nan")
                 entries.append(BarEntry(
-                    label=token.capitalize(),
+                    label=row["loss"].capitalize(),
                     value=value if math.isfinite(value) else None,
                     count=int(row["n_converged"]),
                     inf_flag=int(row["n_inf_losses"]) > 0,
                 ))
-                data_rows.append(row)
-            # the config id without its loss: the configuration's scenario_id
-            slug = group[0]["config_id"].removesuffix(f"_{group[0]['loss']}")
-            svg = render_bar_chart(slug, entries)
-            (out / f"chart_{slug}.svg").write_text(svg)
+            (out / f"chart_{slug}.svg").write_text(render_bar_chart(slug, entries))
         with (out / "report_data.csv").open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=SUMMARY_HEADER,
                                     lineterminator="\n")
             writer.writeheader()
-            writer.writerows(data_rows)
+            writer.writerows(row for group in charts.values() for row in group)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"{len(scenarios)} charts written to {out}")
+    print(f"{len(charts)} charts written to {out}")
     return EXIT_OK
 
 
@@ -434,8 +450,7 @@ def cmd_datagen(p: int, n_train: int, n_test: int, structure: str, snr: float,
     return EXIT_OK
 
 
-def cmd_probe(config_path, seed_override: int | None = None,
-              max_lines: int = 40) -> int:
+def cmd_probe(config_path, seed_override: int | None = None) -> int:
     """Breakdown probe: train replication 0 of the first configured cell,
     prepared exactly as run prepares it, and print the weight-norm
     trajectory."""
@@ -459,7 +474,7 @@ def cmd_probe(config_path, seed_override: int | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     hist = outcome.norm_history
-    stride = max(1, len(hist) // max_lines)
+    stride = max(1, len(hist) // 40)  # about 40 lines of trajectory
     for i in range(0, len(hist), stride):
         print(f"epoch {i:>8d}  ||w|| = {hist[i]:.6g}")
     if (len(hist) - 1) % stride != 0:

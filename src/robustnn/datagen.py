@@ -1,5 +1,5 @@
 """Synthetic regression data with SNR-calibrated Gaussian noise, plus
-min-max response standardization and CSV round-tripping."""
+min-max response standardization and CSV export."""
 
 from __future__ import annotations
 
@@ -48,12 +48,10 @@ class DataGenSpec:
 
 @dataclass
 class Dataset:
-    """Predictor matrix, responses and (when generated here) the underlying
-    linear coefficient, kept for diagnostics."""
+    """Predictor matrix and responses."""
 
     X: np.ndarray
     Y: np.ndarray
-    beta: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -64,8 +62,7 @@ class Dataset:
         return self.X.shape[1]
 
     def copy(self) -> "Dataset":
-        return Dataset(self.X.copy(), self.Y.copy(),
-                       None if self.beta is None else self.beta.copy())
+        return Dataset(self.X.copy(), self.Y.copy())
 
 
 def noiseless_signal(structure: Structure, xb: np.ndarray) -> np.ndarray:
@@ -103,8 +100,7 @@ def generate_dataset(spec: DataGenSpec, rng: np.random.Generator) -> tuple[Datas
     sigma = float(np.sqrt(signal_var / spec.snr))
     y_train = f_train + sigma * rng.standard_normal(spec.n_train)
     y_test = f_test + sigma * rng.standard_normal(spec.n_test)
-    return (Dataset(X_train, y_train, beta.copy()),
-            Dataset(X_test, y_test, beta.copy()))
+    return Dataset(X_train, y_train), Dataset(X_test, y_test)
 
 
 class DegenerateStandardizationError(ValueError):
@@ -125,10 +121,6 @@ class StandardizationTransform:
         y = np.asarray(y, dtype=np.float64)
         return (y - self.y_min) / (self.y_max - self.y_min)
 
-    def invert(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        return y * (self.y_max - self.y_min) + self.y_min
-
 
 def fit_standardizer(y) -> StandardizationTransform:
     """Min-max transform fitted on training responses (outliers included:
@@ -140,24 +132,11 @@ def fit_standardizer(y) -> StandardizationTransform:
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
-    """Write a dataset as CSV with header x1..xp,y (repr floats, so a
-    round-trip through dataset_from_csv restores exact values)."""
+    """Write a dataset as CSV with header x1..xp,y, each value as the
+    shortest repr that float() reads back to the same value."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(data.p)] + ["y"])
         for i in range(data.n):
             writer.writerow([repr(float(v)) for v in data.X[i]] + [repr(float(data.Y[i]))])
-
-
-def dataset_from_csv(path) -> Dataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise ValueError(f"{path}: expected a header ending in 'y'")
-        p = len(header) - 1
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), p + 1)
-    return Dataset(X=arr[:, :p].copy(), Y=arr[:, p].copy())

@@ -80,15 +80,14 @@ class TrainOutcome:
     norm_history: list[float] | None = None
 
 
-def _in_place_update(spec: OptimizerSpec, shape,
-                     steps: np.ndarray | None = None, signs: np.ndarray | None = None):
+def _in_place_update(spec: OptimizerSpec, shape, steps: np.ndarray, signs: np.ndarray):
     """The update rule as a function (params, g) that moves params of the
     given shape in place, with scratch arrays allocated once. Every
     operation is elementwise, so each row of a (B, P) stack moves exactly as
     one run's (P,) parameters would.
 
-    Rprop+ also moves its per-parameter step sizes and previous gradient
-    signs in place: the given arrays, or fresh ones starting at delta0 and 0.
+    Rprop+ also moves the given per-parameter step sizes and previous
+    gradient signs, of that shape, in place; sign-GD leaves them alone.
     """
     s = np.empty(shape)
     if spec.rule == Rule.SIGN_GD:
@@ -118,9 +117,6 @@ def _in_place_update(spec: OptimizerSpec, shape,
     # reverts the previous update. The closing + 0.0 turns -0.0 into +0.0,
     # as adding a +0.0 revert to an unflipped parameter does, so every
     # value, signed zeros included, equals the masked form's.
-    if steps is None:
-        steps = np.full(shape, spec.delta0, dtype=np.float64)
-        signs = np.zeros(shape, dtype=np.float64)
     factors = np.array([1.0, spec.eta_plus, spec.eta_minus])
     delta_min, delta_max = spec.delta_min, spec.delta_max
     prod, sf, revert, factor, move = (np.empty(shape) for _ in range(5))

@@ -127,7 +127,8 @@ def step(spec: OptimizerSpec, state: RpropState | None, net: Network,
 
     Neither the network nor the state passed in is modified."""
     params = net.params.copy()
-    steps = signs = None
+    # sign-GD moves no step sizes or signs
+    steps = signs = np.empty(params.shape[0])
     if spec.rule == Rule.RPROP_PLUS:
         if state is None:
             state = RpropState.initial(params.shape[0], spec)

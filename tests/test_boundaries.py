@@ -1,4 +1,4 @@
-"""Five boundaries inside the package.
+"""Six boundaries inside the package.
 
 The standalone route stays out of production: of the package's modules,
 only net.py and losses.py, which define it, name its functions. The
@@ -20,14 +20,25 @@ configuration file and the command line, which its outputs follow from.
 The package trains a run alone in one place: optimizer.train is the one
 caller that sets train_slots' slot count. run and probe both train
 through train_slots, run through its sweep queues and probe through
-train."""
+train.
+
+Nothing in the package is there for the tests alone: each module-level
+function and class, and each method that is not a dunder, is named
+somewhere besides its own definition. What counts is the package's code,
+the words of its strings other than docstrings (a header lists the
+properties its columns read), perfbench's sources, README's inline code
+and python blocks, and pyproject.toml. A name that no such place names
+is deleted, not kept for a test."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "robustnn"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "robustnn"
 STANDALONE = {"forward_batch", "predict", "BatchTrace", "batch_deltas", "mean_gradient_vector",
               "loss_value", "loss_gradient", "trimmed_select", "TrimResult",
               "adaptive_huber_delta"}
@@ -39,19 +50,26 @@ TRIMMING = {"is_trimmed", "trim_count", "trim_alpha", "_trim_rows"}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
 # what summing, or gathering kept rows, would name
 SUMMING = {"take", "kept", "_sum_steps", "_gradient_sum"}
+# definitions kept for a use that is planned, with the ROADMAP item
+UNUSED_ALLOWED = {"cli.emit_config": "ROADMAP item 1b"}
+
+
+def name_counts(tree: ast.AST) -> Counter:
+    """How often a tree reads, imports or takes as an attribute each name."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts.update({node.name.rpartition(".")[2], node.asname} - {None})
+    return counts
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
     """Every name a module reads, imports or takes as an attribute."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.update((node.name.rpartition(".")[2], node.asname))
-    return names
+    return set(name_counts(tree))
 
 
 def test_the_production_modules_are_found():
@@ -130,3 +148,101 @@ def test_the_package_trains_a_run_alone_in_one_place():
              for name in slot_count_callers(ast.parse((PACKAGE / module).read_text(),
                                                       filename=module))]
     assert found == [("optimizer.py", "train")]
+
+
+def words(text: str) -> set[str]:
+    return set(re.findall(r"\w+", text))
+
+
+def string_words(tree: ast.AST) -> set[str]:
+    """The words of a module's string constants, its docstrings left out."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add(first.value)
+    return {word for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node not in docstrings
+            for word in words(node.value)}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) for each module-level function and class and
+    each of their methods that is not a dunder."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    yield f"{top.name}.{node.name}", node
+
+
+def unused_definitions(sources: dict[str, str], outside: set[str]) -> tuple[list[str], list[str]]:
+    """Every definition of the modules (module name to source), and those
+    that no module names outside the definition itself, that no string of
+    the modules holds as a word and that is not in the words outside."""
+    trees = {module: ast.parse(source, filename=module) for module, source in sources.items()}
+    named = sum((name_counts(tree) for tree in trees.values()), Counter())
+    said = set(outside).union(*(string_words(tree) for tree in trees.values()))
+    scanned, unused = [], []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            scanned.append(f"{module}.{qualname}")
+            if named[node.name] == name_counts(node)[node.name] and node.name not in said:
+                unused.append(f"{module}.{qualname}")
+    return scanned, unused
+
+
+def words_outside_the_package() -> set[str]:
+    """The words of perfbench's sources, README's inline code and python
+    blocks, and pyproject.toml."""
+    found = set().union(*(words(path.read_text()) for path in (ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        found |= words(block)
+    for code in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
+        found |= words(code)
+    return found | words((ROOT / "pyproject.toml").read_text())
+
+
+SYNTHETIC = '''"""unused, in a docstring, does not count."""
+
+
+def used():
+    return 1
+
+
+def unused(n):
+    return unused(n - 1)
+
+
+class Kept:
+    def __init__(self):
+        self.x = used()
+
+    def spoken(self):
+        pass
+
+
+HEADER = ["spoken", "Kept"]
+'''
+
+
+def test_the_scanner_flags_a_function_named_only_by_itself():
+    scanned, unused = unused_definitions({"m": SYNTHETIC}, set())
+    assert scanned == ["m.used", "m.unused", "m.Kept", "m.Kept.spoken"]
+    assert unused == ["m.unused"]
+    assert unused_definitions({"m": SYNTHETIC}, {"unused"})[1] == []
+
+
+def test_the_package_holds_nothing_only_tests_reach():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    scanned, unused = unused_definitions(sources, words_outside_the_package())
+    assert len(scanned) >= 150
+    # an allowed name that comes into use leaves the list
+    assert set(unused) == set(UNUSED_ALLOWED)

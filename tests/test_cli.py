@@ -5,13 +5,14 @@ import re
 import xml.etree.ElementTree as ET
 from xml.sax import saxutils
 
+import numpy as np
 import pytest
 
 from robustnn import cli
 from robustnn.barchart import BarEntry, render_bar_chart
 from robustnn import experiment as exp
 from robustnn.contamination import ContaminationKind, ContaminationSpec
-from robustnn.datagen import DataGenSpec
+from robustnn.datagen import DataGenSpec, generate_dataset
 from robustnn.experiment import ExperimentConfig, RunRecord, run_sweep
 from robustnn.losses import LossSpec
 from robustnn.net import Activation
@@ -432,8 +433,19 @@ class TestCmdReport:
         (",".join(cli.SUMMARY_HEADER), GOOD_ROW.replace(",0.5,", ",half,"),
          "line 2, column 'mean_finite_test_loss': 'half' is not a number"),
         (",".join(cli.SUMMARY_HEADER), GOOD_ROW.rsplit(",", 1)[0], "line 2 has 16 fields"),
+        # one chart could show only one of the two squared cells
+        (",".join(cli.SUMMARY_HEADER),
+         "\n".join([GOOD_ROW, GOOD_ROW.replace("squared", "huber"),
+                    GOOD_ROW.replace(",0.5,", ",0.75,")]),
+         "lines 2 and 4 hold one scenario's 'squared' cell"),
+        # both scenarios would be written to chart_X.svg, the second over the first
+        (",".join(cli.SUMMARY_HEADER),
+         GOOD_ROW.replace("s_lin_squared,lin,", "X_squared,lin,") + "\n"
+         + GOOD_ROW.replace("s_lin_squared,lin,", "X_huber,poly,").replace(",squared,", ",huber,"),
+         "config ids 'X_squared' and 'X_huber' belong to two scenarios that would both be "
+         "charted as chart_X.svg"),
     ], ids=["foreign-header", "short-header", "extra-column", "float-count",
-            "negative-count", "word-mean", "short-row"])
+            "negative-count", "word-mean", "short-row", "repeated-cell", "shared-chart-name"])
     def test_a_summary_run_did_not_write_is_a_named_error(self, tmp_path, capsys,
                                                            header, row, message):
         summary = tmp_path / "summary.csv"
@@ -505,12 +517,13 @@ class TestCmdReport:
         # &, < and > become entities, quotes stay, as xml.sax.saxutils.escape
         # has it
         odd = """a&b <c> "d" 'e'"""
-        svg = render_bar_chart(odd, [BarEntry(odd, 1.0, 2, False)], y_label=odd)
+        svg = render_bar_chart(odd, [BarEntry(odd, 1.0, 2, False)])
         want = saxutils.escape(odd)
         assert want == "a&amp;b &lt;c&gt; \"d\" 'e'"
-        assert svg.count(f">{want}</text>") == 2 and f">{want} (log scale)</text>" in svg
+        assert svg.count(f">{want}</text>") == 2
+        assert ">mean finite test loss (log scale)</text>" in svg
         texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-        assert texts.count(odd) == 2 and f"{odd} (log scale)" in texts
+        assert texts.count(odd) == 2 and "mean finite test loss (log scale)" in texts
 
     def test_empty_summary_is_a_noop(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"
@@ -523,10 +536,16 @@ class TestCmdDatagenAndProbe:
     def test_datagen_writes_csvs(self, tmp_path):
         code = cli.cmd_datagen(3, 20, 8, "trig", 2.0, 0.0, 5, tmp_path / "dg")
         assert code == 0
-        train = (tmp_path / "dg" / "train.csv").read_text().splitlines()
-        assert train[0] == "x1,x2,x3,y"
-        assert len(train) == 21
-        assert len((tmp_path / "dg" / "test.csv").read_text().splitlines()) == 9
+        spec = DataGenSpec(p=3, n_train=20, n_test=8, structure="trig")
+        for name, data in zip(("train", "test"),
+                              generate_dataset(spec, np.random.default_rng(5))):
+            header, *lines = (tmp_path / "dg" / f"{name}.csv").read_text().splitlines()
+            assert header == "x1,x2,x3,y"
+            values = np.array([[float(field) for field in line.split(",")] for line in lines])
+            # every value exactly, each written as its shortest repr
+            assert values.shape == (data.n, 4)
+            assert values.tobytes() == np.column_stack([data.X, data.Y]).tobytes()
+            assert lines == [",".join(map(repr, row)) for row in values.tolist()]
 
     def test_datagen_rejects_a_negative_seed_before_writing(self, tmp_path, capsys):
         out = tmp_path / "D"

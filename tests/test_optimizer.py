@@ -327,10 +327,15 @@ class TestStackedRpropProperties:
     def test_each_row_moves_as_one_run_moves(self, case, rule):
         params, grads = case
         spec = dataclasses.replace(self.DYADIC, rule=rule)
+
+        def fresh(shape):
+            # an update with its own step sizes at delta0 and signs at 0
+            return _in_place_update(spec, shape, np.full(shape, spec.delta0), np.zeros(shape))
+
         stacked = params.copy()
-        update = _in_place_update(spec, stacked.shape)
+        update = fresh(stacked.shape)
         rows = [params[b].copy() for b in range(params.shape[0])]
-        row_updates = [_in_place_update(spec, params.shape[1]) for _ in rows]
+        row_updates = [fresh(params.shape[1]) for _ in rows]
         for g in grads:
             update(stacked, g)
             for b, (row, row_update) in enumerate(zip(rows, row_updates)):
