@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
@@ -282,13 +283,17 @@ def write_summary_csv(cells: list[CellSummary], path) -> None:
 def read_summary_csv(path) -> list[dict]:
     """The rows of a summary.csv as run writes it. Raises ConfigError naming
     the file and the column for another header, a row of another length, a
-    count that is not an integer or a mean that is not a number, and for a
-    file it cannot open or decode as text."""
+    count that is not an integer or a mean that is not a number, for a line
+    the csv module cannot split, and for a file it cannot open or decode
+    as text."""
     try:
         with Path(path).open(newline="") as fh:
-            header, *lines = list(csv.reader(fh)) or [[]]
+            reader = csv.reader(fh)
+            header, *lines = list(reader) or [[]]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
     if header != SUMMARY_HEADER:
         i, found, wanted = next((i, a, b) for i, (a, b) in
                                 enumerate(zip_longest(header, SUMMARY_HEADER)) if a != b)
@@ -356,11 +361,17 @@ def _scenario_key(row: dict) -> tuple:
             row["mu_out"], row["activation"], row["depth"], row["standardized"])
 
 
+# a name scenario_id can print, short enough that chart_<name>.svg fits
+# the 255 bytes a file name may take
+_CHART_NAME = re.compile(r"[A-Za-z0-9_.+-]{0,245}")
+
+
 def _charts(rows: list[dict], path) -> dict[str, list[dict]]:
     """The rows of each scenario's chart, by chart name: the scenarios
     sorted by their columns, each one's rows in LOSS_ORDER and then by
     token. A ConfigError names the lines of two rows with one scenario and
-    loss, or the config ids of two scenarios with one chart name."""
+    loss, the config ids of two scenarios with one chart name, or the
+    config id of a scenario whose chart name is not such a file name."""
     # each scenario's (line number, row) by loss
     scenarios: dict[tuple, dict[str, tuple[int, dict]]] = {}
     for number, row in enumerate(rows, start=2):
@@ -375,6 +386,10 @@ def _charts(rows: list[dict], path) -> dict[str, list[dict]]:
         _, first = next(iter(cells.values()))
         # the config id without its loss: the configuration's scenario_id
         slug = first["config_id"].removesuffix(f"_{first['loss']}")
+        if not _CHART_NAME.fullmatch(slug):
+            raise ConfigError(f"{path}: config id {first['config_id']!r} would be charted "
+                              f"under a name that is not 0 to 245 of the characters "
+                              f"A-Z a-z 0-9 _ . + -")
         if slug in charts:
             raise ConfigError(f"{path}: config ids {charts[slug][0]['config_id']!r} and "
                               f"{first['config_id']!r} belong to two scenarios that "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -436,23 +437,29 @@ def run_sweep(cfgs: list[ExperimentConfig], parallelism: int = 1) -> list[RunRec
     """Execute every (configuration, replication) pair.
 
     Runs of one shape train side by side (see _run_queue), each one's
-    record equal to the record of training that run alone. The output is
-    sorted by (config_id, rep), so the result is independent of scheduling
-    and of the degree of parallelism. Two configurations with one
-    config_id are a ValueError (see check_unique_ids).
+    record equal to the record of training that run alone. The tasks are
+    dealt into queues by `parallelism`, and the queues go to at most that
+    many worker processes, one per queue and no more than the usable CPUs;
+    with one worker they train in this process. The output is sorted by
+    (config_id, rep), so the result is independent of scheduling and of
+    the degree of parallelism. Two configurations with one config_id are a
+    ValueError (see check_unique_ids).
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     check_unique_ids(cfgs)
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
     queues = _queues(tasks, parallelism)
-    if parallelism == 1 or len(queues) <= 1:
+    # the CPUs this process may run on, or the machine's where the platform cannot tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(parallelism, len(queues), cpus or 1)
+    if workers <= 1:
         records = [rec for queue in queues for rec in _run_queue(queue)]
     else:
         # imported here, so that importing robustnn does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(queues))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for recs in pool.map(_run_queue, queues) for rec in recs]
     records.sort(key=lambda rec: (rec.config_id, rec.rep))
     return records

@@ -326,22 +326,24 @@ class _Slots:
 
     def arrange(self) -> None:
         """Move the occupied slots to the front, each loss's slots side by
-        side, and lay the views, update and loss groups over them. The order
-        is a stable sort on the first slot of each loss, and each run's
-        stacked rows move with it. When every slot was refilled with a run
-        of its last run's loss, the sort is the identity: nothing moves and
-        every loss group laid out before stays."""
-        occupied = [(b, slot.job.loss) for b, slot in enumerate(self.slots) if slot is not None]
-        first = {loss: b for b, loss in reversed(occupied)}
-        occupied.sort(key=lambda item: first[item[1]])
-        source = [b for b, _ in occupied]
+        side, and lay the views, update and loss groups over them. The
+        losses keep the order of their first slots, each loss's slots their
+        own order, and each run's stacked rows move with it. When every slot
+        was refilled with a run of its last run's loss, that order is the
+        identity: nothing moves and every loss group laid out before stays."""
+        # each occupied loss's slots, in the order of its first slot
+        by_loss: dict[L.LossSpec, list[int]] = {}
+        for b, slot in enumerate(self.slots):
+            if slot is not None:
+                by_loss.setdefault(slot.job.loss, []).append(b)
+        source = [b for kept in by_loss.values() for b in kept]
         moved = [b for b, src in enumerate(source) if b != src]
-        take = [source[b] for b in moved]
         if moved:  # most calls move nothing, which fancy indexing does not do for free
+            take = [source[b] for b in moved]
             for a in (self.params, self.steps, self.signs, self.X, self.Y):
                 a[moved] = a[take]
         self.slots = [self.slots[src] for src in source]
-        self.losses = [loss for _, loss in occupied]
+        self.losses = [loss for loss, kept in by_loss.items() for _ in kept]
 
         live = len(self.slots)
         if live != self.live:
@@ -350,25 +352,13 @@ class _Slots:
             self.update = _in_place_update(self.spec, (live, self.params.shape[1]),
                                            self.steps[:live], self.signs[:live])
             self.param_rows = list(self.params[:live])
-        spans: dict[L.LossSpec, list[int]] = {}
-        for b, loss in enumerate(self.losses):
-            spans.setdefault(loss, [b, 0])[1] += 1
         # a group whose slots did not move keeps its buffers
         known = {(g.spec, g.start, g.count): g for g in self.groups}
-        self.groups = [known.get((spec, start, count)) or _LossGroup(self, spec, start, count)
-                       for spec, (start, count) in spans.items()]
-
-    def prepare(self) -> None:
-        """The callback lists and epoch cap of the runs in the slots, as
-        arrange() left them."""
-        self.recording = [(b, slot.norms) for b, slot in enumerate(self.slots)
-                          if slot.norms is not None]
-        self.transformed = [(b, slot.job.grad_transform) for b, slot in enumerate(self.slots)
-                            if slot.job.grad_transform is not None]
-        self.hooked = [(b, self.slots[b].job.epoch_end_hook, g, b - g.start)
-                       for g in self.groups for b in range(g.start, g.start + g.count)
-                       if self.slots[b].job.epoch_end_hook is not None]
-        self.cap_epoch = min(slot.first for slot in self.slots) + self.spec.stepmax - 1
+        self.groups, start = [], 0
+        for spec, kept in by_loss.items():
+            key = (spec, start, len(kept))
+            self.groups.append(known.get(key) or _LossGroup(self, *key))
+            start += len(kept)
 
     def _end(self, ended: dict, b: int, status: TrainStatus) -> None:
         slot = self.slots[b]
@@ -382,9 +372,9 @@ class _Slots:
         )
 
     def run(self) -> dict:
-        """Epochs of every live slot until at least one run ends; returns
-        {slot: TrainOutcome, or the exception a callback raised} for the
-        runs that ended.
+        """Epochs of every live slot, as arrange() laid them out, until at
+        least one run ends; returns {slot: TrainOutcome, or the exception a
+        callback raised} for the runs that ended.
 
         Each slot goes through one run's epoch: forward pass, losses,
         divergence check on the objective, gradient, convergence check,
@@ -396,9 +386,15 @@ class _Slots:
         live, spec, slots, end = self.live, self.spec, self.slots, self._end
         kernel, groups, Y, r = self.kernel, self.groups, self.Y[:live], self.r[:live]
         params, grad, abs_g = self.params[:live], self.grad[:live], self.abs_g[:live]
-        param_rows, cap_epoch = self.param_rows, self.cap_epoch
-        update, threshold, stepmax = self.update, spec.grad_threshold, spec.stepmax
-        recording, transformed, hooked = self.recording, self.transformed, self.hooked
+        param_rows, update = self.param_rows, self.update
+        threshold, stepmax = spec.grad_threshold, spec.stepmax
+        recording = [(b, slot.norms) for b, slot in enumerate(slots) if slot.norms is not None]
+        transformed = [(b, slot.job.grad_transform) for b, slot in enumerate(slots)
+                       if slot.job.grad_transform is not None]
+        hooked = [(b, slots[b].job.epoch_end_hook, g, b - g.start)
+                  for g in groups for b in range(g.start, g.start + g.count)
+                  if slots[b].job.epoch_end_hook is not None]
+        cap_epoch = min(slot.first for slot in slots) + stepmax - 1
         ended: dict = {}
         epoch = self.epoch
         while not ended:
@@ -503,7 +499,6 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
         batch.arrange()
         if not batch.slots:
             return
-        batch.prepare()
         # divergence shows up as inf/nan and is detected and reported;
         # numpy's overflow warnings would only add noise to legitimate sweeps
         with np.errstate(over="ignore", invalid="ignore"):

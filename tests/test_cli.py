@@ -419,6 +419,9 @@ class TestCmdReport:
         assert (charts / "report_data.csv").exists()
 
     GOOD_ROW = "s_lin_squared,lin,30,3,logistic,shallow,true,none,0.0,10.0,squared,4,3,1,0.5,10.0,0.25"
+    # a scenario that charts as chart_a.svg, then one whose scenario part is {}
+    TWO_SCENARIOS = (GOOD_ROW.replace("s_lin_squared,lin,", "a_squared,lin,") + "\n"
+                     + GOOD_ROW.replace("s_lin_squared,lin,", "{}_squared,poly,"))
 
     @pytest.mark.parametrize("header,row,message", [
         ("config_id,loss", "x,squared", "column 2 is 'loss', expected 'structure'"),
@@ -444,8 +447,19 @@ class TestCmdReport:
          + GOOD_ROW.replace("s_lin_squared,lin,", "X_huber,poly,").replace(",squared,", ",huber,"),
          "config ids 'X_squared' and 'X_huber' belong to two scenarios that would both be "
          "charted as chart_X.svg"),
+        # more than the csv module reads in one field
+        (",".join(cli.SUMMARY_HEADER), GOOD_ROW.replace("s_lin_", "s" * 131072 + "_"),
+         "line 2: field larger than field limit (131072)"),
+        # chart names that are not a file name in the output directory
+        (",".join(cli.SUMMARY_HEADER), TWO_SCENARIOS.format("b/c"),
+         "config id 'b/c_squared' would be charted under a name that is not"),
+        (",".join(cli.SUMMARY_HEADER), TWO_SCENARIOS.format("b\0c"),
+         "config id 'b\\x00c_squared' would be charted under a name that is not"),
+        (",".join(cli.SUMMARY_HEADER), TWO_SCENARIOS.format("b" * 246),
+         f"config id '{'b' * 246}_squared' would be charted under a name that is not"),
     ], ids=["foreign-header", "short-header", "extra-column", "float-count",
-            "negative-count", "word-mean", "short-row", "repeated-cell", "shared-chart-name"])
+            "negative-count", "word-mean", "short-row", "repeated-cell", "shared-chart-name",
+            "oversized-field", "slash-in-chart-name", "nul-in-chart-name", "long-chart-name"])
     def test_a_summary_run_did_not_write_is_a_named_error(self, tmp_path, capsys,
                                                            header, row, message):
         summary = tmp_path / "summary.csv"
@@ -455,6 +469,16 @@ class TestCmdReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {summary}: ") and message in err
         assert not charts.exists()
+
+    def test_the_longest_chart_name_fills_a_file_name(self, tmp_path):
+        # chart_<245 characters>.svg is 255 bytes, the most a file name holds
+        summary = tmp_path / "summary.csv"
+        summary.write_text(f"{','.join(cli.SUMMARY_HEADER)}\n"
+                           f"{self.TWO_SCENARIOS.format('b' * 245)}\n")
+        charts = tmp_path / "charts"
+        assert cli.main(["report", "--summary", str(summary), "--out", str(charts)]) == 0
+        assert sorted(p.name for p in charts.glob("*.svg")) == \
+            ["chart_a.svg", f"chart_{'b' * 245}.svg"]
 
     def test_missing_bar_and_inf_annotation(self, tmp_path):
         # hand-written summary: one cell converged with an infinite loss,

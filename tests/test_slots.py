@@ -7,6 +7,7 @@ oracle.record_alone makes it apart from the queue."""
 import collections
 import concurrent.futures
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -215,19 +216,16 @@ def test_a_refill_with_the_loss_it_replaces_moves_nothing(monkeypatch):
             if pool:
                 yield pool.popleft()
 
-    unmoved, before = [], []
-    arrange, prepare = O._Slots.arrange, O._Slots.prepare
+    unmoved = []
+    arrange = O._Slots.arrange
 
-    def recording_arrange(batch):
-        before[:] = [(list(batch.slots), list(batch.groups), batch.update, batch.params.copy(),
-                      batch.X.copy(), batch.Y.copy())] if batch.groups and None not in batch.slots \
-            else []
+    def checked_arrange(batch):
+        before = (list(batch.slots), list(batch.groups), batch.update, batch.params.copy(),
+                  batch.X.copy(), batch.Y.copy()) if batch.groups and None not in batch.slots \
+            else None
         arrange(batch)
-
-    def checked_prepare(batch):
-        prepare(batch)
         if before:
-            (slots, groups, update, params, X, Y), = before
+            slots, groups, update, params, X, Y = before
             assert all(a is b for a, b in zip(batch.slots, slots))
             assert len(batch.groups) == 3 and all(a is b for a, b in zip(batch.groups, groups))
             assert batch.update is update
@@ -235,8 +233,7 @@ def test_a_refill_with_the_loss_it_replaces_moves_nothing(monkeypatch):
                 assert a.tobytes() == b.tobytes()
             unmoved.append(len(batch.slots))
 
-    monkeypatch.setattr(O._Slots, "arrange", recording_arrange)
-    monkeypatch.setattr(O._Slots, "prepare", checked_prepare)
+    monkeypatch.setattr(O._Slots, "arrange", checked_arrange)
     spec = OptimizerSpec(stepmax=100)
     trained = 0
     for job, outcome in train_slots(source(), spec, slots=3):
@@ -381,13 +378,14 @@ def test_a_queue_predicts_test_sets_of_two_shapes(monkeypatch):
     assert sorted(made) == [(1, 20, 3), (1, 33, 3)]
 
 
-def test_a_sweep_starts_no_more_workers_than_it_has_queues(monkeypatch):
+@pytest.fixture
+def pool_asked(monkeypatch):
+    """The numbers of workers run_sweep asks ProcessPoolExecutor for, on a
+    machine pinned at two usable CPUs; the stand-in pool maps in this
+    process, so no process starts."""
     asked = []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records the number of workers
-        it is asked for and maps in this process, so no process starts."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -401,11 +399,29 @@ def test_a_sweep_starts_no_more_workers_than_it_has_queues(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return asked
+
+
+def test_a_sweep_starts_no_more_workers_than_it_has_queues(pool_asked):
     cfgs = [dataclasses.replace(sweep_configs()[0], replications=2)]
     tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
     assert len(E._queues(tasks, 4)) == 2
     got = E.run_sweep(cfgs, parallelism=4)
-    assert asked == [2]
+    assert pool_asked == [2]
+    assert [fields(rec) for rec in got] == \
+        [fields(rec) for rec in E.run_sweep(cfgs, parallelism=1)]
+
+
+def test_a_sweep_starts_no_more_workers_than_there_are_cpus(pool_asked):
+    # 75 queues at parallelism 64 on two CPUs: two workers, and the queues
+    # are still dealt by parallelism, and the records are those of parallelism 1
+    cfgs = sweep_configs()
+    tasks = [(cfg, rep) for cfg in cfgs for rep in range(cfg.replications)]
+    assert len(E._queues(tasks, 64)) == 75
+    got = E.run_sweep(cfgs, parallelism=64)
+    assert pool_asked == [2]
     assert [fields(rec) for rec in got] == \
         [fields(rec) for rec in E.run_sweep(cfgs, parallelism=1)]
 
