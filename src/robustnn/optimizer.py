@@ -9,6 +9,7 @@ gradients by a positive constant leaves the parameter trajectory untouched.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -72,12 +73,18 @@ class OptimizerSpec:
 
 @dataclass
 class TrainOutcome:
+    """How a run ended. norm_history, kept if the run recorded norms, is
+    a float64 array of the parameter norm: the initial norm, then one after
+    each completed update. A run that converges at epoch e, or diverges
+    there on its loss or gradient, has e entries; a run that ends at the
+    cap, or on its norm, has e + 1."""
+
     status: TrainStatus
     epochs_used: int
     final_net: Network
     sup_weight_norm: float
     breakdown: bool
-    norm_history: list[float] | None = None
+    norm_history: array | None = None
 
 
 def _in_place_update(spec: OptimizerSpec, shape, steps: np.ndarray, signs: np.ndarray):
@@ -202,7 +209,7 @@ class _Slot:
         self.job = job
         self.first = first      # the batch epoch that is this run's epoch 1
         self.sup = norm0        # running maximum of the parameter norm
-        self.norms = [norm0] if job.record_norms else None
+        self.norms = array("d", (norm0,)) if job.record_norms else None
 
 
 class _LossGroup:
@@ -368,7 +375,7 @@ class _Slots:
             final_net=Network(self.arch, self.params[b].copy()),
             sup_weight_norm=slot.sup,
             breakdown=status == TrainStatus.DIVERGED or slot.sup >= slot.job.diverge_norm,
-            norm_history=None if slot.norms is None else list(slot.norms),
+            norm_history=slot.norms,
         )
 
     def run(self) -> dict:
@@ -436,7 +443,8 @@ class _Slots:
             # per slot as np.linalg.norm computes it
             norms = [math.sqrt(v.dot(v)) for v in param_rows]
             for b, history in recording:
-                history.append(norms[b])
+                if b not in ended:  # a run that ended before the update keeps its history
+                    history.append(norms[b])
             for slot, x in zip(slots, norms):
                 if x > slot.sup:
                     slot.sup = x
@@ -521,7 +529,9 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     convergence check, optimizer step. There is no early stopping besides
     the gradient threshold; the running maximum of the flattened parameter
     norm is kept as the breakdown statistic and compared against
-    diverge_norm at the end.
+    diverge_norm at the end. With record_norms, the outcome's norm_history
+    is a float64 array of that norm: the initial norm, then one after each
+    completed update (TrainOutcome gives its length).
 
     grad_transform, if given, maps the flat aggregated gradient vector to a
     replacement before the convergence check and the update. epoch_end_hook

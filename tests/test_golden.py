@@ -1,8 +1,9 @@
 """Golden outputs: `robustnn run` must write byte-identical results.csv and
-summary.csv at any parallelism, and `robustnn report` byte-identical charts
-and report_data.csv from the desk summary. Changes to the trainer, the
-preparation of runs, the sweep scheduler or the writers that are meant to
-keep every number must keep these digests.
+summary.csv at any parallelism, `robustnn report` byte-identical charts
+and report_data.csv from the desk summary, and `robustnn probe` a
+byte-identical trajectory for the breakdown probe. Changes to the trainer,
+the preparation of runs, the sweep scheduler or the writers that are meant
+to keep every number must keep these digests.
 
 The digests were taken with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 on
 an AVX-512 x86-64 machine. Another numpy or BLAS build may round a matrix
@@ -78,6 +79,11 @@ GOLDEN_PINNED = {
                  "49d91dae7dea73a7d124265e1119fc676380a5755e023dd6e15d37140a42b6ba"),
 }
 
+# what `robustnn probe --config configs/breakdown_probe.json` prints, natively
+# and under PINNED_ENV
+GOLDEN_PROBE = "2b675e436aff5fc3565ad85f912ebe933f07db7318c04f8aa14c0dd4961b93a5"
+GOLDEN_PROBE_PINNED = "2b675e436aff5fc3565ad85f912ebe933f07db7318c04f8aa14c0dd4961b93a5"
+
 # what `robustnn report` writes from the desk_demo summary.csv
 GOLDEN_REPORT = {
     "chart_lin_n150_p5_none_r0.25_m100_logistic_shallow_std.svg":
@@ -137,6 +143,19 @@ def config_of(name: str, tmp_path: Path) -> Path:
     return config
 
 
+def run_pinned(*args: str) -> subprocess.CompletedProcess:
+    """The CLI with args in a subprocess under PINNED_ENV, from this tree."""
+    if not has_avx2_and_fma3():
+        pytest.skip("the pinned dispatch needs an x86-64 CPU with AVX2 and FMA3")
+    src = str(Path(robustnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "robustnn.cli", *args],
+                          env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    return proc
+
+
 def digests(out: Path) -> tuple:
     return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                  for f in ("results.csv", "summary.csv"))
@@ -158,17 +177,9 @@ def test_run_writes_the_golden_outputs(tmp_path, capsys, name, parallel):
 @pytest.mark.parametrize("parallel", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN_PINNED))
 def test_pinned_run_writes_the_pinned_golden_outputs(tmp_path, name, parallel):
-    if not has_avx2_and_fma3():
-        pytest.skip("the pinned dispatch needs an x86-64 CPU with AVX2 and FMA3")
     out = tmp_path / "out"
-    src = str(Path(robustnn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "robustnn.cli", "run", "--config",
-         str(config_of(name, tmp_path)), "--out", str(out), "--parallel", str(parallel)],
-        env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    run_pinned("run", "--config", str(config_of(name, tmp_path)), "--out", str(out),
+               "--parallel", str(parallel))
     assert digests(out) == GOLDEN_PINNED[name], (
         f"{name} at --parallel {parallel} under {PINNED_ENV}: sha256 of "
         f"results.csv/summary.csv changed; the pinned digests were taken with "
@@ -187,3 +198,22 @@ def test_report_writes_the_golden_charts(tmp_path, capsys):
     assert got == GOLDEN_REPORT, (
         f"sha256 of the desk report changed; the golden digests were taken "
         f"with {TAKEN_WITH}, this run uses {builds()}")
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_probe_prints_the_golden_trajectory(capsys):
+    assert cli.main(["probe", "--config", str(CONFIGS / "breakdown_probe.json")]) == cli.EXIT_OK
+    assert sha256_text(capsys.readouterr().out) == GOLDEN_PROBE, (
+        f"sha256 of the breakdown probe's output changed; the golden digest was "
+        f"taken with {TAKEN_WITH}, this run uses {builds()}")
+
+
+def test_pinned_probe_prints_the_pinned_golden_trajectory():
+    proc = run_pinned("probe", "--config", str(CONFIGS / "breakdown_probe.json"))
+    assert sha256_text(proc.stdout) == GOLDEN_PROBE_PINNED, (
+        f"sha256 of the breakdown probe's output under {PINNED_ENV} changed; the "
+        f"pinned digest was taken with numpy 2.4.6 and scipy-openblas 0.3.31.188.0, "
+        f"this process uses {builds()}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,28 @@ class TestTrain:
                     record_norms=True)
         assert out.sup_weight_norm == max(out.norm_history)
         assert len(out.norm_history) == out.epochs_used + 1
+
+    def test_a_recorded_norm_history_costs_under_12_bytes_an_epoch(self):
+        # a float64 array holds 8 bytes an epoch, amortised growth included;
+        # a list of Python floats, or a copy of the history, costs more
+        X, y = clean_lin_data(5, n=20, p=2)
+        net = init_weights(Architecture(2, (2,), Activation.LOGISTIC), np.random.default_rng(5))
+
+        def traced_peak(cap):
+            spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=cap, grad_threshold=1e-300)
+            tracemalloc.start()
+            try:
+                out = train(net, (X, y), L.LossSpec.squared(), spec, record_norms=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.status == TrainStatus.STEP_LIMIT
+            assert len(out.norm_history) == cap + 1
+            return peak
+
+        traced_peak(100)  # first-call allocations
+        small, large = traced_peak(1_000), traced_peak(11_000)
+        assert (large - small) / 10_000 < 12
 
     def test_diverge_norm_must_exceed_initial(self):
         arch = Architecture(2, (2,), Activation.LOGISTIC)
