@@ -44,7 +44,9 @@ _ACTIVATE = {
 
 
 # g *= sigma'(a) in place, given the pre-activation a and the activation
-# z = sigma(a); tmp is scratch of g's shape.
+# z = sigma(a); tmp is scratch of g's shape. It may be a itself, which is
+# then overwritten: a kernel reads a only in the elementwise op that first
+# writes tmp.
 
 def _scale_logistic(g, a, z, tmp):
     # logistic'(a) = z(1-z)
@@ -256,13 +258,15 @@ class BatchKernel:
     activation and delta: write dL/dyhat into output_error before
     backward(). deltas and acts hold every slot's error terms and layer
     inputs, from which each loss group of train_slots sums its gradient.
+    The kernel holds three (B, n, width) arrays per hidden layer: backward()
+    uses the hidden pre-activations as its scratch, so they hold no
+    pre-activation after it.
     """
 
     def __init__(self, net: Network, X: np.ndarray):
         self.net, self.X = net, X
         self.pre, self.acts = _forward_arrays(net.architecture, X)
         self.deltas = [np.empty_like(a) for a in self.pre]
-        self._scratch = [np.empty_like(a) for a in self.pre[:-1]]
         self.set_live(X.shape[0])
 
     def set_live(self, live: int) -> None:
@@ -275,7 +279,8 @@ class BatchKernel:
         self.predictions = acts[-1][..., 0]
         self.output_error = deltas[-1][..., 0]
         self._forward = _forward_steps(net, pre, acts)
-        self._backward = _backward_steps(net, pre, acts, deltas, head(self._scratch))
+        # the dead hidden pre-activations are the backward pass's scratch
+        self._backward = _backward_steps(net, pre, acts, deltas, pre)
         self._deltas = deltas
 
     def forward(self) -> np.ndarray:

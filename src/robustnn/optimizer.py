@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -216,7 +218,9 @@ class _LossGroup:
     """The adjacent live slots [start, start + count) that share one loss:
     per epoch, their per-instance losses, objectives, dL/dyhat, for a
     trimmed loss their kept rows, and their mean gradients, read and
-    written through views of the stacked arrays."""
+    written through views of the stacked arrays. A trimmed group gathers
+    each layer's kept rows just before it sums them, into one buffer per
+    role (error terms or layer input) and width that every layer shares."""
 
     def __init__(self, batch: "_Slots", spec: L.LossSpec, start: int, count: int):
         n, end = batch.n, start + count
@@ -230,22 +234,27 @@ class _LossGroup:
         deltas = [d[start:end] for d in batch.kernel.deltas]
         inputs = [z[start:end] for z in batch.kernel.acts[:-1]]
         self.r, self.error = batch.r[start:end], deltas[-1][..., 0]
-        self.grad = Network(batch.arch, batch.grad[start:end])
+        self.grad = grad = Network(batch.arch, batch.grad[start:end])
         self.per = self.delta = self.kept = None
-        # (source, out) per layer's error terms and inputs: the group's rows,
-        # and the array its kept rows are gathered into
-        self.gather = []
-        if self.h is not None:
-            # The kept rows are gathered into arrays allocated once: a fresh
-            # gather each epoch costs page faults at large n. np.empty
-            # touches no page before the first gather, and by then arrange
-            # has dropped the groups this one replaced. The kernel's arrays
-            # are C-contiguous, so the sources are views of them.
-            sources = [a.reshape(-1, a.shape[-1]) for a in deltas + inputs]
-            deltas, inputs = ([np.empty((count, self.h, a.shape[-1])) for a in arrays]
-                              for arrays in (deltas, inputs))
-            self.gather = list(zip(sources, deltas + inputs))
-        self.sum_steps = _sum_steps(deltas, inputs)
+        if self.h is None:
+            # one sum over every layer, straight from the group's rows
+            self.sums = [((), _sum_steps(deltas, inputs), grad.weights, grad.intercepts)]
+        else:
+            # Per layer: (source, out) for its error terms and its input, the
+            # group's rows and the buffer its kept rows are gathered into,
+            # then the sum of that layer alone. The buffers are allocated
+            # once, as a fresh gather each epoch costs page faults at large
+            # n, and shared by the layers of one width, as each layer's
+            # gathers are dead once it is summed. The kernel's arrays are
+            # C-contiguous, so the sources are views of them.
+            def gathered(arrays):
+                shared = {w: np.empty((count, self.h, w)) for w in {a.shape[-1] for a in arrays}}
+                return [(a.reshape(-1, a.shape[-1]), shared[a.shape[-1]]) for a in arrays]
+
+            self.sums = []
+            for d, z, gw, gb in zip(gathered(deltas), gathered(inputs),
+                                    grad.weights, grad.intercepts):
+                self.sums.append(((d, z), _sum_steps([d[1]], [z[1]]), [gw], [gb]))
 
     def losses(self) -> list[float]:
         """Per-instance losses and dL/dyhat of the group's runs, and their
@@ -267,18 +276,20 @@ class _LossGroup:
         """Each run's mean gradient over its (kept) rows, after the backward pass."""
         # the kept rows are in range, and mode="clip" writes straight into
         # out, which the default mode would buffer
-        for source, out in self.gather:
-            source.take(self.kept, axis=0, out=out, mode="clip")
-        grad = self.grad
-        rows = _gradient_sum(self.sum_steps, grad.weights, grad.intercepts)
-        np.divide(grad.params, rows, out=grad.params)
+        for gather, steps, weights, intercepts in self.sums:
+            for source, out in gather:
+                source.take(self.kept, axis=0, out=out, mode="clip")
+            rows = _gradient_sum(steps, weights, intercepts)
+        np.divide(self.grad.params, rows, out=self.grad.params)
 
 
 class _Slots:
     """The stacked state of up to `capacity` runs of one shape: parameters,
     Rprop+ step sizes and signs, inputs, responses and the kernel over
-    them. Occupied slots are kept at the front, each loss's slots side by
-    side, and every stacked operation runs on the [:live] prefix."""
+    them, each allocated once for `capacity` slots, which train_slots sets
+    to no more than the number of its jobs. Occupied slots are kept at the front, each loss's
+    slots side by side, and every stacked operation runs on the [:live]
+    prefix."""
 
     def __init__(self, arch, n: int, spec: OptimizerSpec, capacity: int):
         n_params = count_parameters(arch)[2]
@@ -476,11 +487,13 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
     Runs of one shape share the architecture and the number of training
     rows, and here also the optimizer spec; losses, data, initial networks,
     divergence levels and callbacks are per run. Up to `slots` runs train
-    at once as one stacked batch. A run that converges, diverges or hits
-    the epoch cap leaves its slot at once, and the next job is taken from
-    `jobs` then, so a job (and whatever it takes to build it) is only drawn
-    when there is a slot for it. Every run's TrainOutcome is bit-identical
-    to train on that run alone.
+    at once as one stacked batch, which holds as many slots as the first
+    `slots` jobs drawn, so a shorter `jobs` allocates no slot it cannot
+    fill. A run that converges, diverges or hits the epoch cap leaves its
+    slot at once, and the next job is taken from `jobs` then, so a job (and
+    whatever it takes to build it) is only drawn when there is a slot for
+    it. Every run's TrainOutcome is bit-identical to train on that run
+    alone.
 
     A job that train would reject, a run of another shape included, is
     yielded with the ValueError as its outcome; a run whose callback raises
@@ -489,10 +502,14 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
     if slots < 1:
         raise ValueError(f"slots must be positive, got {slots}")
     pending = iter(jobs)
+    # the batch has a slot for each of the first `slots` jobs; the deque
+    # lets go of each job as it is loaded
+    ahead = deque(islice(pending, slots))
+    slots = len(ahead)
     batch = None
     while True:
         while batch is None or batch.has_room():
-            job = next(pending, None)
+            job = ahead.popleft() if ahead else next(pending, None)
             if job is None:
                 break
             try:

@@ -19,6 +19,7 @@ from robustnn.net import (
     Network,
     _gradient_sum,
     _sum_steps,
+    batch_deltas,
     count_parameters,
     forward_batch,
     init_weights,
@@ -269,6 +270,26 @@ class TestBackprop:
             grads = backprop(net, X, dl)
             for i, g in enumerate(grads):
                 assert g[out_intercept] == pytest.approx(dl[i], abs=0.0)
+
+    @pytest.mark.parametrize("activation", Activation)
+    def test_batch_deltas_leaves_the_trace_as_it_was(self, activation):
+        # the kernel's backward pass overwrites its hidden pre-activations,
+        # the standalone route must not touch its caller's trace; both give
+        # the same error terms
+        arch = make_arch(4, [6, 5, 3], activation)
+        net = init_weights(arch, np.random.default_rng(31))
+        X = np.random.default_rng(32).standard_normal((40, 4))
+        dl = np.random.default_rng(33).standard_normal(40)
+        trace = forward_batch(net, X)
+        before = [a.tobytes() for a in trace.pre_activations + trace.activations]
+        deltas = batch_deltas(net, trace, dl)
+        assert [a.tobytes() for a in trace.pre_activations + trace.activations] == before
+
+        kernel = BatchKernel(Network(arch, net.params[None]), X[None])
+        kernel.forward()
+        kernel.output_error[...] = dl
+        for got, want in zip(kernel.backward(), deltas, strict=True):
+            assert got[0].tobytes() == want.tobytes()
 
     @staticmethod
     def _total_loss(arch, params, X, y, spec, delta=None):
