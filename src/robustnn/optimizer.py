@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -205,13 +205,16 @@ def _checked(job: TrainJob):
 class _Slot:
     """What one occupied slot holds besides its rows of the stacked arrays."""
 
-    __slots__ = ("job", "first", "sup", "norms")
+    __slots__ = ("job", "first", "sup", "norms", "mark", "mark_norm", "mark_epoch")
 
     def __init__(self, job: TrainJob, first: int, norm0: float):
         self.job = job
         self.first = first      # the batch epoch that is this run's epoch 1
         self.sup = norm0        # running maximum of the parameter norm
         self.norms = array("d", (norm0,)) if job.record_norms else None
+        # the state bytes, norm and run epoch of the last power-of-two
+        # epoch, against which run() looks for a repeated state
+        self.mark, self.mark_norm, self.mark_epoch = None, math.nan, 0
 
 
 class _LossGroup:
@@ -389,6 +392,10 @@ class _Slots:
             norm_history=slot.norms,
         )
 
+    def _state(self, b: int) -> bytes:
+        """The bytes of everything slot b's next epoch reads besides its data."""
+        return self.params[b].tobytes() + self.steps[b].tobytes() + self.signs[b].tobytes()
+
     def run(self) -> dict:
         """Epochs of every live slot, as arrange() laid them out, until at
         least one run ends; returns {slot: TrainOutcome, or the exception a
@@ -400,6 +407,18 @@ class _Slots:
         The stacked steps run for every live slot, but a run that ends is
         snapshotted when it ends and left out of the checks and callbacks
         after that.
+
+        A run without callbacks trains on fixed data, so each of its epochs
+        is a function of its state alone: the bytes of its parameters and
+        Rprop+ step sizes and signs. Such a run keeps the state of its last
+        power-of-two epoch m (Brent's cycle detection) and, at each epoch e
+        whose norm equals m's, compares the bytes. Once they match, its
+        states repeat with period e - m, so it skips the whole periods left
+        before its cap, repeating the last period's norms in a recorded
+        history, and trains the rest. Its outcome is the one it would have
+        reached: the skipped epochs pass through states the run has
+        already been in, so they raise no running maximum and fire no
+        check.
         """
         live, spec, slots, end = self.live, self.spec, self.slots, self._end
         kernel, groups, Y, r = self.kernel, self.groups, self.Y[:live], self.r[:live]
@@ -412,6 +431,10 @@ class _Slots:
         hooked = [(b, slots[b].job.epoch_end_hook, g, b - g.start)
                   for g in groups for b in range(g.start, g.start + g.count)
                   if slots[b].job.epoch_end_hook is not None]
+        # runs without callbacks, whose epochs depend on their state alone
+        closed = [b for b, slot in enumerate(slots)
+                  if slot.job.grad_transform is None and slot.job.epoch_end_hook is None]
+        state = self._state
         cap_epoch = min(slot.first for slot in slots) + stepmax - 1
         ended: dict = {}
         epoch = self.epoch
@@ -472,6 +495,18 @@ class _Slots:
                             Y[b] = new_y
                     except Exception as exc:
                         ended[b] = exc
+            for b in closed:
+                slot, x = slots[b], norms[b]
+                e = epoch - slot.first + 1
+                if x == slot.mark_norm and b not in ended and state(b) == slot.mark:
+                    period = e - slot.mark_epoch
+                    skipped = (stepmax - e) // period * period
+                    slot.first -= skipped
+                    if slot.norms is not None:
+                        slot.norms.extend(islice(cycle(slot.norms[-period:]), skipped))
+                    cap_epoch = min(cap_epoch, slot.first + stepmax - 1)
+                elif not e & (e - 1):
+                    slot.mark, slot.mark_norm, slot.mark_epoch = state(b), x, e
             if epoch == cap_epoch:
                 for b, slot in enumerate(slots):
                     if b not in ended and epoch - slot.first + 1 == stepmax:
@@ -494,6 +529,13 @@ def train_slots(jobs: Iterable[TrainJob], spec: OptimizerSpec,
     whatever it takes to build it) is only drawn when there is a slot for
     it. Every run's TrainOutcome is bit-identical to train on that run
     alone.
+
+    A run without grad_transform and epoch_end_hook whose state (its
+    parameters, Rprop+ step sizes and signs) repeats bit for bit skips the
+    whole periods of the repetition left before its cap (see _Slots.run).
+    This is exact, as its epochs depend on that state and its fixed data
+    alone, but such a run ends, and is yielded, sooner than it would if it
+    trained every epoch.
 
     A job that train would reject, a run of another shape included, is
     yielded with the ValueError as its outcome; a run whose callback raises
@@ -562,7 +604,9 @@ def train(net: Network, data, loss_spec: L.LossSpec, spec: OptimizerSpec,
     buffer, a copy of net's, which the update moves in place; net itself is
     never modified. Every per-run choice (activations, loss, trimming,
     update rule) is resolved before the first epoch, so an epoch is only
-    the arithmetic.
+    the arithmetic. A run without callbacks whose state repeats exactly
+    skips the whole periods left before its cap, as train_slots describes;
+    the outcome is the one training every epoch gives.
     """
     job = TrainJob(net, data, loss_spec, diverge_norm, record_norms,
                    grad_transform, epoch_end_hook)

@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 from oracle import record_alone
+from test_acceptance import SHALLOW, breakdown_data
 
 from robustnn import experiment as E
 from robustnn import losses as L
@@ -382,6 +383,22 @@ def test_a_wide_batch_holds_only_what_its_runs_use(losses, bound_mib):
         tracemalloc.stop()
     assert [o.status for o in outcomes] == [TrainStatus.STEP_LIMIT] * len(jobs)
     assert peak < bound_mib * 2**20, peak / 2**20
+
+
+def test_a_batch_of_repeating_and_growing_runs_gives_each_its_run_alone():
+    # criteria 3 and 4's runs at a lower cap: the squared runs grow without
+    # repeating their state, the trim50 runs repeat it, skip the periods
+    # left before the cap, end early and free their slots for the next runs
+    spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=1001)
+    jobs = [TrainJob(init_weights(SHALLOW, np.random.default_rng(2000 + seed)),
+                     breakdown_data(1000 + seed), loss, record_norms=seed % 2 == 0,
+                     tag=(seed, loss.kind))
+            for seed in range(5) for loss in (L.LossSpec.squared(), L.LossSpec.trimmed(0.5))]
+    outcomes = {job.tag: outcome for job, outcome in train_slots(jobs, spec, slots=4)}
+    assert len(outcomes) == len(jobs)
+    for job in jobs:
+        assert_same_outcome(outcomes[job.tag], train(job.net, job.data, job.loss, spec,
+                                                     record_norms=job.record_norms))
 
 
 def sweep_configs():

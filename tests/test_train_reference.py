@@ -24,12 +24,14 @@ from robustnn.datagen import DataGenSpec, Structure, generate_dataset
 from robustnn.net import (
     Activation,
     Architecture,
+    BatchKernel,
     batch_deltas,
     forward_batch,
     init_weights,
     mean_gradient_vector,
 )
 from robustnn.optimizer import OptimizerSpec, Rule, TrainStatus, train
+from test_acceptance import SHALLOW, breakdown_data
 
 LOSSES = {
     "squared": L.LossSpec.squared(),
@@ -189,3 +191,78 @@ def test_passes_are_bit_identical_to_reference(hidden, activation, trimmed):
         assert bits(got) == bits(want)
     assert bits(mean_gradient_vector(trace, deltas, kept)) == \
         bits(reference_mean_gradient_vector(acts, want_deltas, kept))
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """[count] of the forward passes train runs; reference_train runs none."""
+    calls = [0]
+    forward = BatchKernel.forward
+
+    def counted(kernel):
+        calls[0] += 1
+        return forward(kernel)
+
+    monkeypatch.setattr(BatchKernel, "forward", counted)
+    return calls
+
+
+def breakdown_run(seed):
+    """Criteria 3 and 4's initial network and data for one seed."""
+    return init_weights(SHALLOW, np.random.default_rng(2000 + seed)), breakdown_data(1000 + seed)
+
+
+# Sign-GD trim50 runs on these data repeat their state with period 2: seed 1
+# is caught at epoch 34, seeds 0 and 3 at 66 and seeds 2 and 4 at 130. Every
+# epoch left after that falls in a skipped period at an even cap; at an odd
+# cap one is trained.
+@pytest.mark.parametrize("seed", range(5))
+def test_a_run_that_repeats_its_state_skips_whole_periods(seed, forward_calls):
+    net, data = breakdown_run(seed)
+    trained = {}
+    for cap in (1000, 1001):
+        forward_calls[0] = 0
+        out = run_both(net, data, LOSSES["trim50"], OptimizerSpec(rule=Rule.SIGN_GD, stepmax=cap),
+                       make_kwargs=lambda: dict(record_norms=True))
+        assert out.status == TrainStatus.STEP_LIMIT and out.epochs_used == cap
+        trained[cap] = forward_calls[0]
+    assert trained[1000] <= 130 and trained[1001] == trained[1000] + 1
+
+
+def test_an_rprop_run_that_repeats_its_state_skips_whole_periods(forward_calls):
+    # caught at epoch 1026, the first check after the mark at epoch 1024
+    X, y = contaminated_data(1)
+    net = init_weights(Architecture(5, (10, 10), Activation.LOGISTIC), np.random.default_rng(101))
+    out = run_both(net, (X, y), LOSSES["trim50"], OptimizerSpec(stepmax=1100, grad_threshold=1e-300),
+                   make_kwargs=lambda: dict(record_norms=True))
+    assert out.status == TrainStatus.STEP_LIMIT
+    assert forward_calls[0] < out.epochs_used
+
+
+def _shift_responses():
+    def hook(epoch, predictions, losses, y):
+        return y + 1.0 if epoch == 200 else None
+    return dict(epoch_end_hook=hook)
+
+
+def _reverse_gradient():
+    epochs = itertools.count(1)
+
+    def transform(g):
+        return -g if next(epochs) > 200 else g
+    return dict(grad_transform=transform)
+
+
+@pytest.mark.parametrize("callbacks", [_shift_responses, _reverse_gradient],
+                         ids=["epoch-end-hook", "grad-transform"])
+def test_a_callback_turns_the_skip_off(callbacks, forward_calls):
+    # the callback changes seed 1's path at epoch 200, long after the run
+    # began to repeat its state: it trains every epoch and ends where
+    # reference_train does, not where the run without the callback ends
+    net, data = breakdown_run(1)
+    spec = OptimizerSpec(rule=Rule.SIGN_GD, stepmax=1000)
+    out = run_both(net, data, LOSSES["trim50"], spec,
+                   make_kwargs=lambda: dict(record_norms=True, **callbacks()))
+    assert forward_calls[0] == out.epochs_used == 1000
+    plain = train(net, data, LOSSES["trim50"], spec)
+    assert bits(out.final_net.params) != bits(plain.final_net.params)
